@@ -19,7 +19,7 @@ BENCH_BYTES_PER_TASK = 4 << 20
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--trace", metavar="DIR", default=None,
+        "--bench-trace", metavar="DIR", default=None,
         help="record a checkpoint-timeline trace per benchmark into DIR "
              "(<test name>.trace.json; inspect with python -m repro.trace)",
     )
@@ -27,8 +27,8 @@ def pytest_addoption(parser):
 
 @pytest.fixture(autouse=True)
 def _bench_trace(request):
-    """Per-test tracer when ``--trace DIR`` is given; no-op otherwise."""
-    trace_dir = request.config.getoption("--trace")
+    """Per-test tracer when ``--bench-trace DIR`` is given; no-op otherwise."""
+    trace_dir = request.config.getoption("--bench-trace")
     if not trace_dir:
         yield None
         return

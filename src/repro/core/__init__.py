@@ -29,7 +29,6 @@ from repro.core.enumeration import (
 )
 from repro.core.fstream import LsmioFStream
 from repro.core.manager import LsmioManager
-from repro.core.multilevel import MultilevelCheckpointer
 from repro.core.options import Backend, LsmioOptions
 from repro.core.store import LsmioStore
 
@@ -42,7 +41,6 @@ __all__ = [
     "LsmioManager",
     "LsmioOptions",
     "LsmioStore",
-    "MultilevelCheckpointer",
     "PerfCounters",
     "manifest_listing",
     "readdir_storm",

@@ -19,9 +19,9 @@ how big they are*, then plan reads.  There are two ways to learn it:
 Both strategies return the same :class:`EnumerationResult` so campaigns
 can compare entries/s, time-to-first-batch, and request amplification —
 the three axes the listing benchmarks in the related AI-I/O suites
-report.  Every function has a thread form and a ``*_lw`` light-process
-twin built on the client's own twins, so either backend replays the
-identical RPC schedule.
+report.  Each strategy is one generator (``*_lw``) over the client's own
+generators; the blocking name is its ``sim.blocking_form``, so either
+backend replays the identical RPC schedule.
 
 The manifest text format is deliberately trivial — ``"{name} {size}\n"``
 per entry, sorted by name — so byte counts are deterministic and the
@@ -92,7 +92,7 @@ def _fill(result: EnumerationResult, client, before, start: float) -> None:
 def readdir_storm_lw(
     client, directory: str, batch_size: int = 64, stat_entries: bool = True
 ):
-    """Paged ``readdir`` + per-entry ``stat`` (light process).
+    """Paged ``readdir`` + per-entry ``stat``.
 
     ``stat_entries=False`` measures the bare listing — names only, no
     sizes — the lower bound POSIX tools like ``ls`` (without ``-l``) pay.
@@ -118,13 +118,7 @@ def readdir_storm_lw(
     return result
 
 
-def readdir_storm(
-    client, directory: str, batch_size: int = 64, stat_entries: bool = True
-) -> EnumerationResult:
-    """Thread form of :func:`readdir_storm_lw`."""
-    return sim.run_blocking(
-        readdir_storm_lw(client, directory, batch_size, stat_entries)
-    )
+readdir_storm = sim.blocking_form(readdir_storm_lw)
 
 
 # -- strategy 2: manifest listing ---------------------------------------------
@@ -164,13 +158,7 @@ def write_manifest_lw(
     return file
 
 
-def write_manifest(
-    client, path: str, entries: list[tuple[str, int]], stripe_count: int = 1
-):
-    """Thread form of :func:`write_manifest_lw`."""
-    return sim.run_blocking(
-        write_manifest_lw(client, path, entries, stripe_count)
-    )
+write_manifest = sim.blocking_form(write_manifest_lw)
 
 
 def manifest_listing_lw(client, manifest_path: str, directory: str = ""):
@@ -191,8 +179,4 @@ def manifest_listing_lw(client, manifest_path: str, directory: str = ""):
     return result
 
 
-def manifest_listing(
-    client, manifest_path: str, directory: str = ""
-) -> EnumerationResult:
-    """Thread form of :func:`manifest_listing_lw`."""
-    return sim.run_blocking(manifest_listing_lw(client, manifest_path, directory))
+manifest_listing = sim.blocking_form(manifest_listing_lw)

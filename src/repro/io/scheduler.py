@@ -6,9 +6,8 @@ policies:
 
 ``fifo``
     Inline pass-through — requests issue immediately on the caller's
-    process, exactly the pre-scheduler event sequence.  Zero sim events
-    added, so traces and figures are bit-identical to the unscheduled
-    code.  This is the default.
+    process.  Zero sim events added, so traces and figures are
+    bit-identical to an unscheduled client.  This is the default.
 
 ``strict``
     Strict priority: one request issues at a time per client; when the
@@ -28,6 +27,12 @@ COMPACTION bytes/s (Luo & Carey's knob for trading compaction debt
 against write stalls) and DRAIN bytes/s (pacing burst-buffer write-back
 behind live checkpoint traffic).  Throttling happens *before* enqueue so
 a paced request never occupies the issue slot while it waits for tokens.
+
+Admission and throttling each have one body, the generators
+:meth:`IoScheduler.submit_lw` and :meth:`RateLimiter.throttle_lw`.
+``throttle`` is ``sim.blocking_form(throttle_lw)``; ``submit`` lifts a
+*blocking* ``run`` callable into a generator that never yields and
+drives ``submit_lw``, so both backends share every line of accounting.
 """
 
 from __future__ import annotations
@@ -352,22 +357,17 @@ class RateLimiter:
             return 0.0
         return -self._tokens / self.rate
 
-    def throttle(self, nbytes: int) -> float:
-        """Charge ``nbytes``; sleep on the sim clock if over rate.
-
-        Returns the seconds slept (0.0 when tokens covered the charge).
-        """
-        waited = self._charge(nbytes)
-        if waited > 0.0:
-            sim.sleep(waited)
-        return waited
-
     def throttle_lw(self, nbytes: int):
-        """Light-process twin of :meth:`throttle` (``yield from`` it)."""
+        """Charge ``nbytes``; park on the sim clock if over rate.
+
+        Returns the seconds waited (0.0 when tokens covered the charge).
+        """
         waited = self._charge(nbytes)
         if waited > 0.0:
             yield waited
         return waited
+
+    throttle = sim.blocking_form(throttle_lw)
 
 
 class IoScheduler:
@@ -375,7 +375,7 @@ class IoScheduler:
 
     Request lifecycle::
 
-        submit(kind, nbytes, run)
+        submit_lw(kind, nbytes, run)
           └─ classify (ambient io_priority context)
           └─ throttle   (COMPACTION token bucket, before enqueue)
           └─ admit      inline (fifo)  ──────────────┐
@@ -385,9 +385,10 @@ class IoScheduler:
           └─ finish     pop next per policy, grant its gate
 
     The issue slot serializes *admission*, not the wire: ``run()`` is
-    the existing write path, whose write-behind RPCs still overlap
-    downstream.  Under ``fifo`` the slot is never taken and ``run()``
-    executes unconditionally inline.
+    the client's RPC-issue generator, whose write-behind RPCs still
+    overlap downstream.  Under ``fifo`` the slot is never taken and
+    ``run()`` executes unconditionally inline.  :meth:`submit_lw` is the
+    one body; :meth:`submit` adapts a blocking ``run`` callable to it.
     """
 
     def __init__(
@@ -477,98 +478,6 @@ class IoScheduler:
 
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        kind: str,
-        nbytes: int,
-        run: Callable[[], object],
-        ost: Optional[int] = None,
-        priority: Optional[Priority] = None,
-    ):
-        """Admit one request and execute ``run()`` when granted.
-
-        Runs on the caller's sim process; returns ``run()``'s value.
-        """
-        if priority is None:
-            priority = current_priority()
-        cls = priority.name.lower()
-        stats = self.stats
-        stats.class_submitted[cls] += 1
-        stats.class_bytes[cls] += nbytes
-        limiter = self._limiters.get(priority)
-        if limiter is not None and nbytes > 0:
-            waited = limiter.throttle(nbytes)
-            if waited > 0.0:
-                stats.throttle_time += waited
-                stats.throttled_bytes += nbytes
-        tele = _trace.TELEMETRY
-        if self._policy.inline:
-            # FIFO fast path: no request object, no events — the exact
-            # pre-scheduler call sequence (bit-identity contract).
-            stats.inline_issues += 1
-            stats.class_issued[cls] += 1
-            if tele is None:
-                return run()
-            tele.observe(_WAIT_KEYS[cls], 0.0)
-            start = _trace.ambient_clock()
-            try:
-                return run()
-            finally:
-                tele.observe(
-                    _SERVICE_KEYS[cls], _trace.ambient_clock() - start
-                )
-        request = IoRequest(
-            kind=kind,
-            priority=priority,
-            nbytes=nbytes,
-            ost=ost,
-            deadline=current_deadline(),
-            owner=_owner_name(),
-            submit_time=sim.now(),
-        )
-        if self._active is None and not len(self._policy):
-            self._active = request
-            if tele is not None:
-                tele.observe(_WAIT_KEYS[cls], 0.0)
-        else:
-            request._gate = sim.Event(
-                self._engine, name=f"{self.name}.grant{request.seq}"
-            )
-            self._policy.push(request)
-            depth = len(self._policy)
-            if depth > stats.max_queue_depth:
-                stats.max_queue_depth = depth
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                tracer.gauge("io", f"{self.name}.depth", depth)
-                span = tracer.span(
-                    "io", "sched.wait", sched=self.name, kind=kind,
-                    cls=cls, nbytes=nbytes,
-                )
-            try:
-                sim.wait(request._gate)
-            finally:
-                if span is not None:
-                    span.finish()
-            stats.queued_issues += 1
-            waited_q = sim.now() - request.submit_time
-            stats.class_stall_time[cls] += waited_q
-            if tele is not None:
-                tele.observe(_WAIT_KEYS[cls], waited_q)
-        stats.class_issued[cls] += 1
-        if tele is None:
-            try:
-                return run()
-            finally:
-                self._finish()
-        start = _trace.ambient_clock()
-        try:
-            return run()
-        finally:
-            tele.observe(_SERVICE_KEYS[cls], _trace.ambient_clock() - start)
-            self._finish()
-
     def submit_lw(
         self,
         kind: str,
@@ -577,13 +486,11 @@ class IoScheduler:
         ost: Optional[int] = None,
         priority: Optional[Priority] = None,
     ):
-        """Light-process twin of :meth:`submit` (``yield from`` it).
+        """Admit one request and drive ``run()`` once it is granted.
 
         ``run()`` must return a generator speaking the light-process
-        protocol; it is driven inline once the request is granted.
-        Accounting, queue operations, and telemetry mirror
-        :meth:`submit` line for line, so either backend produces the
-        same admission schedule and the same stats.
+        protocol; it is driven on the caller's sim process and its
+        return value is the result.
         """
         if priority is None:
             priority = current_priority()
@@ -599,6 +506,8 @@ class IoScheduler:
                 stats.throttled_bytes += nbytes
         tele = _trace.TELEMETRY
         if self._policy.inline:
+            # FIFO fast path: no request object, no events (the fig5
+            # bit-identity contract).
             stats.inline_issues += 1
             stats.class_issued[cls] += 1
             if tele is None:
@@ -662,6 +571,29 @@ class IoScheduler:
         finally:
             tele.observe(_SERVICE_KEYS[cls], _trace.ambient_clock() - start)
             self._finish()
+
+    def submit(
+        self,
+        kind: str,
+        nbytes: int,
+        run: Callable[[], object],
+        ost: Optional[int] = None,
+        priority: Optional[Priority] = None,
+    ):
+        """Blocking form of :meth:`submit_lw` for a *blocking* ``run``.
+
+        ``run()`` executes on the caller's thread-backed process (it may
+        call blocking library code); lifting it into a generator that
+        never yields lets :meth:`submit_lw` stay the only admission body.
+        """
+
+        def issue():
+            return run()
+            yield  # unreachable: makes issue() a generator
+
+        return sim.run_blocking(
+            self.submit_lw(kind, nbytes, issue, ost, priority)
+        )
 
     def _finish(self) -> None:
         self._active = self._policy.pop()

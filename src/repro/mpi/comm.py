@@ -87,65 +87,8 @@ class Communicator:
     # Point-to-point
     # ------------------------------------------------------------------
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking send: occupies this rank's NIC for the wire time."""
-        if not 0 <= dest < self.size:
-            raise InvalidArgumentError(f"bad destination rank {dest}")
-        if dest == self.rank:
-            # Self-sends skip the NIC (rendezvous through local memory).
-            self.world.mailbox(dest, self.rank, tag).put(obj)
-            return
-        nbytes = message_size(obj)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "mpi", "send", src=self.rank, dest=dest, tag=tag,
-                nbytes=nbytes,
-            )
-        try:
-            with self.world._nics[self.rank].request():
-                sim.sleep(self.world.network.transfer_time(nbytes))
-            self.world.mailbox(dest, self.rank, tag).put(obj)
-            self.world._any_source[dest].put((self.rank, tag))
-        finally:
-            if span is not None:
-                span.finish()
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
-        """Blocking receive.
-
-        ``source=ANY_SOURCE`` matches messages from any rank with the
-        given tag (arrival order).
-        """
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("mpi", "recv", rank=self.rank, src=source,
-                             tag=tag):
-                return self._recv(source, tag)
-        return self._recv(source, tag)
-
-    def _recv(self, source: int, tag: int) -> Any:
-        if source == ANY_SOURCE:
-            # Hold non-matching arrival notices aside while scanning, then
-            # re-post them; re-posting inside the loop would spin forever
-            # on a notice queue that contains only other tags.
-            skipped: list[tuple[int, int]] = []
-            try:
-                while True:
-                    src, msg_tag = self.world._any_source[self.rank].get()
-                    if msg_tag == tag:
-                        return self.world.mailbox(self.rank, src, tag).get()
-                    skipped.append((src, msg_tag))
-            finally:
-                for notice in skipped:
-                    self.world._any_source[self.rank].put(notice)
-        if not 0 <= source < self.size:
-            raise InvalidArgumentError(f"bad source rank {source}")
-        return self.world.mailbox(self.rank, source, tag).get()
-
     def send_lw(self, obj: Any, dest: int, tag: int = 0):
-        """Light-process twin of :meth:`send` (``yield from`` it)."""
+        """Send ``obj``: occupies this rank's NIC for the wire time."""
         if not 0 <= dest < self.size:
             raise InvalidArgumentError(f"bad destination rank {dest}")
         if dest == self.rank:
@@ -173,15 +116,37 @@ class Communicator:
             if span is not None:
                 span.finish()
 
+    send = sim.blocking_form(send_lw)
+
     def recv_lw(self, source: int = ANY_SOURCE, tag: int = 0):
-        """Light-process twin of :meth:`recv` (``yield from`` it)."""
-        if source == ANY_SOURCE:
+        """Receive one message, parking until it arrives.
+
+        ``source=ANY_SOURCE`` matches messages from any rank with the
+        given tag (arrival order).
+        """
+        tracer = _trace.TRACER
+        span = None
+        if tracer is not None:
+            span = tracer.span(
+                "mpi", "recv", rank=self.rank, src=source, tag=tag,
+            )
+        try:
+            if source != ANY_SOURCE:
+                if not 0 <= source < self.size:
+                    raise InvalidArgumentError(f"bad source rank {source}")
+                return (
+                    yield from self.world.mailbox(
+                        self.rank, source, tag
+                    ).get_lw()
+                )
+            # Hold non-matching arrival notices aside while scanning, then
+            # re-post them; re-posting inside the loop would spin forever
+            # on a notice queue that contains only other tags.
+            notices = self.world._any_source[self.rank]
             skipped: list[tuple[int, int]] = []
             try:
                 while True:
-                    src, msg_tag = yield from (
-                        self.world._any_source[self.rank].get_lw()
-                    )
+                    src, msg_tag = yield from notices.get_lw()
                     if msg_tag == tag:
                         return (
                             yield from self.world.mailbox(
@@ -191,12 +156,12 @@ class Communicator:
                     skipped.append((src, msg_tag))
             finally:
                 for notice in skipped:
-                    self.world._any_source[self.rank].put(notice)
-        if not 0 <= source < self.size:
-            raise InvalidArgumentError(f"bad source rank {source}")
-        return (
-            yield from self.world.mailbox(self.rank, source, tag).get_lw()
-        )
+                    notices.put(notice)
+        finally:
+            if span is not None:
+                span.finish()
+
+    recv = sim.blocking_form(recv_lw)
 
     def sendrecv(
         self, obj: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
@@ -215,37 +180,8 @@ class Communicator:
             self.world.mailbox(dest, self.rank, tag).put(obj)
         return self.recv(source=source, tag=tag)
 
-    def channel_send(self, key: str, obj: Any, dest: int) -> None:
-        """Send into ``dest``'s named channel (same wire cost as send)."""
-        if not 0 <= dest < self.size:
-            raise InvalidArgumentError(f"bad destination rank {dest}")
-        if dest != self.rank:
-            nbytes = message_size(obj)
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                span = tracer.span(
-                    "mpi", "channel_send", src=self.rank, dest=dest,
-                    key=key, nbytes=nbytes,
-                )
-            try:
-                with self.world._nics[self.rank].request():
-                    sim.sleep(self.world.network.transfer_time(nbytes))
-            finally:
-                if span is not None:
-                    span.finish()
-        self.world.channel(dest, key).put(obj)
-
-    def channel_recv(self, key: str) -> Any:
-        """Blocking take from this rank's named channel."""
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("mpi", "channel_recv", rank=self.rank, key=key):
-                return self.world.channel(self.rank, key).get()
-        return self.world.channel(self.rank, key).get()
-
     def channel_send_lw(self, key: str, obj: Any, dest: int):
-        """Light-process twin of :meth:`channel_send` (``yield from`` it)."""
+        """Send into ``dest``'s named channel (same wire cost as send)."""
         if not 0 <= dest < self.size:
             raise InvalidArgumentError(f"bad destination rank {dest}")
         if dest != self.rank:
@@ -269,9 +205,23 @@ class Communicator:
                     span.finish()
         self.world.channel(dest, key).put(obj)
 
+    channel_send = sim.blocking_form(channel_send_lw)
+
     def channel_recv_lw(self, key: str):
-        """Light-process twin of :meth:`channel_recv` (``yield from`` it)."""
-        return (yield from self.world.channel(self.rank, key).get_lw())
+        """Take from this rank's named channel, parking while it is empty."""
+        tracer = _trace.TRACER
+        span = None
+        if tracer is not None:
+            span = tracer.span(
+                "mpi", "channel_recv", rank=self.rank, key=key,
+            )
+        try:
+            return (yield from self.world.channel(self.rank, key).get_lw())
+        finally:
+            if span is not None:
+                span.finish()
+
+    channel_recv = sim.blocking_form(channel_recv_lw)
 
     # ------------------------------------------------------------------
     # Collectives
@@ -280,52 +230,37 @@ class Communicator:
     _BARRIER_TAG = -101
     _COLL_TAG = -102
 
-    def barrier(self) -> None:
-        """Block until every rank in the world has entered the barrier."""
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("mpi", "barrier", rank=self.rank):
-                return self._barrier()
-        return self._barrier()
-
-    def _barrier(self) -> None:
-        world = self.world
-        world._barrier_count += 1
-        gate = world._barrier_event
-        if world._barrier_count == world.size:
-            world._barrier_count = 0
-            world._barrier_generation += 1
-            world._barrier_event = sim.Event(
-                world.engine, name=f"barrier-{world._barrier_generation}"
-            )
-            # A real barrier costs ~latency * log2(p) on a tree network.
-            depth = max(1, (world.size - 1).bit_length())
-            sim.sleep(world.network.latency * depth)
-            gate.succeed()
-        else:
-            sim.wait(gate)
-
     def barrier_lw(self):
-        """Light-process twin of :meth:`barrier` (``yield from`` it).
+        """Park until every rank in the world has entered the barrier.
 
-        Interoperates with thread-backed ranks in :meth:`barrier`: both
-        forms share the world's count/generation state and gate event.
+        Light and thread-backed ranks may share one barrier: the world's
+        count/generation state and gate event are all there is.
         """
-        world = self.world
-        world._barrier_count += 1
-        gate = world._barrier_event
-        if world._barrier_count == world.size:
-            world._barrier_count = 0
-            world._barrier_generation += 1
-            world._barrier_event = sim.Event(
-                world.engine, name=f"barrier-{world._barrier_generation}"
-            )
-            # A real barrier costs ~latency * log2(p) on a tree network.
-            depth = max(1, (world.size - 1).bit_length())
-            yield world.network.latency * depth
-            gate.succeed()
-        else:
-            yield gate
+        tracer = _trace.TRACER
+        span = None
+        if tracer is not None:
+            span = tracer.span("mpi", "barrier", rank=self.rank)
+        try:
+            world = self.world
+            world._barrier_count += 1
+            gate = world._barrier_event
+            if world._barrier_count == world.size:
+                world._barrier_count = 0
+                world._barrier_generation += 1
+                world._barrier_event = sim.Event(
+                    world.engine, name=f"barrier-{world._barrier_generation}"
+                )
+                # A real barrier costs ~latency * log2(p) on a tree network.
+                depth = max(1, (world.size - 1).bit_length())
+                yield world.network.latency * depth
+                gate.succeed()
+            else:
+                yield gate
+        finally:
+            if span is not None:
+                span.finish()
+
+    barrier = sim.blocking_form(barrier_lw)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Binomial-tree broadcast; returns the object on every rank."""

@@ -12,6 +12,10 @@ close/fsync is inside the timed region).
 
 Read path: synchronous — the caller blocks for OST → OSS → NIC per RPC,
 with RPCs to distinct OSTs issued in parallel.
+
+Every operation is defined once, as the generator ``X_lw`` a light
+process ``yield from``s; the blocking name thread-backed callers use is
+``X = sim.blocking_form(X_lw)``, so both backends run one body.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ class LustreClient:
     # Namespace operations (charge the MDS)
     # ------------------------------------------------------------------
 
-    def _mds_op(self, op: str, path: Optional[str] = None) -> None:
+    def _mds_op_lw(self, op: str, path: Optional[str] = None):
         """One MDS request, admitted as METADATA class.
 
         Namespace ops always classify as METADATA regardless of the
@@ -168,15 +172,6 @@ class LustreClient:
         from bulk data.  ``path`` selects the DNE shard; ``None`` routes
         to the root shard (format-model bookkeeping ops).
         """
-        self.scheduler.submit(
-            "meta", 0,
-            lambda: sim.run_blocking(self._mds_service_lw(op, path)),
-            priority=Priority.METADATA,
-        )
-        self.stats.mds_ops += 1
-
-    def _mds_op_lw(self, op: str, path: Optional[str] = None):
-        """Light-process twin of :meth:`_mds_op` (``yield from`` it)."""
         yield from self.scheduler.submit_lw(
             "meta", 0, lambda: self._mds_service_lw(op, path),
             priority=Priority.METADATA,
@@ -263,98 +258,6 @@ class LustreClient:
             self._md_cache.insert(path, exists=True)
         return file
 
-    def create(
-        self,
-        path: str,
-        stripe_count: Optional[int] = None,
-        stripe_size: Optional[int | str] = None,
-        store_data: Optional[bool] = None,
-    ) -> LustreFile:
-        self._mds_op("create", path)
-        file = self.cluster.create(
-            path,
-            stripe_count=stripe_count,
-            stripe_size=stripe_size,
-            store_data=store_data,
-        )
-        if self._md_cache is not None:
-            self._md_cache.insert(path, exists=True)
-        return file
-
-    def open(self, path: str) -> LustreFile:
-        cached = self._md_cached(path)
-        if cached is not None:
-            return cached
-        self._mds_op("open", path)
-        return self._md_fill(path)
-
-    def close(self, file: LustreFile) -> None:
-        """Flush write-behind data, then release the handle at the MDS."""
-        self.fsync(file)
-        self._mds_op("close", file.path)
-
-    def stat(self, path: str) -> LustreFile:
-        cached = self._md_cached(path)
-        if cached is not None:
-            return cached
-        self._mds_op("stat", path)
-        return self._md_fill(path)
-
-    def unlink(self, path: str) -> None:
-        self._mds_op("unlink", path)
-        self.cluster.unlink(path)
-        if self._md_cache is not None:
-            self._md_cache.insert(path, exists=False)
-
-    def setattr(self, path: str) -> LustreFile:
-        """Attribute mutation (chmod/utimes): one MDS op + lock revocation.
-
-        Cached verdicts about ``path`` become stale everywhere, so the
-        cluster broadcasts an invalidation — the same coherence rule as
-        create/unlink.
-        """
-        self._mds_op("setattr", path)
-        file = self.cluster.lookup(path)
-        self.cluster._invalidate_md(path)
-        return file
-
-    def readdir_page(
-        self, dirpath: str, start: int = 0, batch_size: int = 64
-    ) -> tuple[list[str], Optional[int]]:
-        """One paged readdir RPC: entries ``[start, start+batch_size)``.
-
-        Returns ``(names, next_start)``; ``next_start`` is ``None`` on
-        the last page.  Each page is one "readdir" MDS op on the shard
-        owning ``dirpath`` (``dirpath + "/"`` routes there: entries
-        co-locate with their directory).
-        """
-        if batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
-        self._mds_op("readdir", dirpath + "/")
-        return self._readdir_slice(dirpath, start, batch_size)
-
-    def readdir(self, dirpath: str, batch_size: int = 64) -> list[str]:
-        """Full directory listing via paged readdir RPCs (sorted names)."""
-        names: list[str] = []
-        start: Optional[int] = 0
-        while start is not None:
-            page, start = self.readdir_page(dirpath, start, batch_size)
-            names.extend(page)
-        return names
-
-    def _readdir_slice(
-        self, dirpath: str, start: int, batch_size: int
-    ) -> tuple[list[str], Optional[int]]:
-        names = self.cluster.mds.entries(dirpath)
-        end = start + batch_size
-        return names[start:end], end if end < len(names) else None
-
-    def metadata_op(self, op: str) -> None:
-        """Charge an arbitrary MDS operation (used by format models)."""
-        self._mds_op(op)
-
-    # -- light-process namespace API (``yield from`` inside a generator) --
-
     def create_lw(
         self,
         path: str,
@@ -362,7 +265,7 @@ class LustreClient:
         stripe_size: Optional[int | str] = None,
         store_data: Optional[bool] = None,
     ):
-        """Light-process twin of :meth:`create`."""
+        """Create ``path`` (one MDS op); returns the :class:`LustreFile`."""
         yield from self._mds_op_lw("create", path)
         file = self.cluster.create(
             path,
@@ -374,52 +277,79 @@ class LustreClient:
             self._md_cache.insert(path, exists=True)
         return file
 
+    create = sim.blocking_form(create_lw)
+
     def open_lw(self, path: str):
-        """Light-process twin of :meth:`open`."""
+        """Open ``path``: one MDS op unless the metadata cache answers."""
         cached = self._md_cached(path)
         if cached is not None:
             return cached
         yield from self._mds_op_lw("open", path)
         return self._md_fill(path)
 
+    open = sim.blocking_form(open_lw)
+
     def close_lw(self, file: LustreFile):
-        """Light-process twin of :meth:`close`."""
+        """Flush write-behind data, then release the handle at the MDS."""
         yield from self.fsync_lw(file)
         yield from self._mds_op_lw("close", file.path)
 
+    close = sim.blocking_form(close_lw)
+
     def stat_lw(self, path: str):
-        """Light-process twin of :meth:`stat`."""
+        """Stat ``path``: one MDS op unless the metadata cache answers."""
         cached = self._md_cached(path)
         if cached is not None:
             return cached
         yield from self._mds_op_lw("stat", path)
         return self._md_fill(path)
 
+    stat = sim.blocking_form(stat_lw)
+
     def unlink_lw(self, path: str):
-        """Light-process twin of :meth:`unlink`."""
+        """Remove ``path`` (one MDS op); caches remember it is gone."""
         yield from self._mds_op_lw("unlink", path)
         self.cluster.unlink(path)
         if self._md_cache is not None:
             self._md_cache.insert(path, exists=False)
 
+    unlink = sim.blocking_form(unlink_lw)
+
     def setattr_lw(self, path: str):
-        """Light-process twin of :meth:`setattr`."""
+        """Attribute mutation (chmod/utimes): one MDS op + lock revocation.
+
+        Cached verdicts about ``path`` become stale everywhere, so the
+        cluster broadcasts an invalidation — the same coherence rule as
+        create/unlink.
+        """
         yield from self._mds_op_lw("setattr", path)
         file = self.cluster.lookup(path)
         self.cluster._invalidate_md(path)
         return file
 
+    setattr = sim.blocking_form(setattr_lw)
+
     def readdir_page_lw(
         self, dirpath: str, start: int = 0, batch_size: int = 64
     ):
-        """Light-process twin of :meth:`readdir_page`."""
+        """One paged readdir RPC: entries ``[start, start+batch_size)``.
+
+        Returns ``(names, next_start)``; ``next_start`` is ``None`` on
+        the last page.  Each page is one "readdir" MDS op on the shard
+        owning ``dirpath`` (``dirpath + "/"`` routes there: entries
+        co-locate with their directory).
+        """
         if batch_size < 1:
             raise InvalidArgumentError("batch_size must be >= 1")
         yield from self._mds_op_lw("readdir", dirpath + "/")
-        return self._readdir_slice(dirpath, start, batch_size)
+        names = self.cluster.mds.entries(dirpath)
+        end = start + batch_size
+        return names[start:end], end if end < len(names) else None
+
+    readdir_page = sim.blocking_form(readdir_page_lw)
 
     def readdir_lw(self, dirpath: str, batch_size: int = 64):
-        """Light-process twin of :meth:`readdir`."""
+        """Full directory listing via paged readdir RPCs (sorted names)."""
         names: list[str] = []
         start: Optional[int] = 0
         while start is not None:
@@ -429,13 +359,17 @@ class LustreClient:
             names.extend(page)
         return names
 
+    readdir = sim.blocking_form(readdir_lw)
+
+    def metadata_op_lw(self, op: str):
+        """Charge an arbitrary MDS operation (used by format models)."""
+        yield from self._mds_op_lw(op)
+
+    metadata_op = sim.blocking_form(metadata_op_lw)
+
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-
-    def _coalesce(self, file: LustreFile, offset: int, length: int) -> list[Rpc]:
-        """Coalesce one contiguous file range into per-OST RPCs."""
-        return self._coalesce_ranges(file, [(offset, length)])
 
     def _coalesce_ranges(
         self, file: LustreFile, ranges_in: list[tuple[int, int]]
@@ -474,38 +408,10 @@ class LustreClient:
                     remaining -= chunk
         return rpcs
 
-    def write(self, file: LustreFile, offset: int, data: bytes | int) -> None:
-        """Write ``data`` (bytes, or a length for data-less mode).
-
-        Returns when the bytes have left this node's NIC; the OSS/OST
-        stages complete in the background (write-behind).  Call
-        :meth:`fsync` or :meth:`close` for durability, as IOR does.
-        """
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            length = len(data)
-            file.store(offset, bytes(data))
-        else:
-            length = int(data)
-            if length < 0:
-                raise InvalidArgumentError("negative write length")
-            file.extend_size(offset, length)
-        if length == 0:
-            return
-        rpcs = self._coalesce(file, offset, length)
-        self.scheduler.submit(
-            "write", length, lambda: self._issue_write_rpcs(rpcs),
-            ost=rpcs[0].ost_index,
-        )
-        self.stats.bytes_written += length
-
-    def writev(
+    def _write_segments_lw(
         self, file: LustreFile, segments: list[tuple[int, "bytes | int"]]
-    ) -> None:
-        """Vectored write: all segments coalesce as one dirty-page set.
-
-        The collective-I/O aggregators use this so an every-Nth-stripe
-        file domain still reaches each OST as large sequential RPCs.
-        """
+    ):
+        """Dirty every segment, then issue them as one coalesced set."""
         ranges: list[tuple[int, int]] = []
         total = 0
         for offset, data in segments:
@@ -523,41 +429,37 @@ class LustreClient:
         if not ranges:
             return
         rpcs = self._coalesce_ranges(file, ranges)
-        self.scheduler.submit(
-            "write", total, lambda: self._issue_write_rpcs(rpcs),
+        yield from self.scheduler.submit_lw(
+            "write", total, lambda: self._issue_write_rpcs_lw(rpcs),
             ost=rpcs[0].ost_index,
         )
         self.stats.bytes_written += total
 
     def write_lw(self, file: LustreFile, offset: int, data: "bytes | int"):
-        """Light-process twin of :meth:`write` (``yield from`` it)."""
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            length = len(data)
-            file.store(offset, bytes(data))
-        else:
-            length = int(data)
-            if length < 0:
-                raise InvalidArgumentError("negative write length")
-            file.extend_size(offset, length)
-        if length == 0:
-            return
-        rpcs = self._coalesce(file, offset, length)
-        yield from self.scheduler.submit_lw(
-            "write", length, lambda: self._issue_write_rpcs_lw(rpcs),
-            ost=rpcs[0].ost_index,
-        )
-        self.stats.bytes_written += length
+        """Write ``data`` (bytes, or a length for data-less mode).
 
-    def _issue_write_rpcs(self, rpcs: list[Rpc]) -> None:
-        sim.run_blocking(self._issue_write_rpcs_lw(rpcs))
+        Returns when the bytes have left this node's NIC; the OSS/OST
+        stages complete in the background (write-behind).  Call
+        :meth:`fsync` or :meth:`close` for durability, as IOR does.
+        """
+        yield from self._write_segments_lw(file, [(offset, data)])
+
+    write = sim.blocking_form(write_lw)
+
+    def writev_lw(
+        self, file: LustreFile, segments: list[tuple[int, "bytes | int"]]
+    ):
+        """Vectored write: all segments coalesce as one dirty-page set.
+
+        The collective-I/O aggregators use this so an every-Nth-stripe
+        file domain still reaches each OST as large sequential RPCs.
+        """
+        yield from self._write_segments_lw(file, segments)
+
+    writev = sim.blocking_form(writev_lw)
 
     def _issue_write_rpcs_lw(self, rpcs: list[Rpc]):
-        """NIC admission + write-behind spawn, as a light process.
-
-        The single source of truth for the write issue path; the thread
-        form drives this generator via :func:`sim.run_blocking`, so both
-        backends produce the same RPC schedule.
-        """
+        """NIC admission + write-behind spawn for one write submission."""
         engine = self.cluster.engine
         tracer = _trace.TRACER
         span = None
@@ -728,21 +630,16 @@ class LustreClient:
             if span is not None:
                 span.finish()
 
-    def fsync(self, file: Optional[LustreFile] = None) -> None:
-        """Block until all of this client's outstanding writes are stable.
+    def fsync_lw(self, file: Optional[LustreFile] = None):
+        """Park until all of this client's outstanding writes are stable.
 
         Raises the first recorded write-behind failure
         (:class:`RetryExhaustedError` after the retry budget is spent) —
         the POSIX contract that fsync is where async write errors land.
         """
-        self.scheduler.submit("fsync", 0, self._fsync_impl)
-
-    def fsync_lw(self, file: Optional[LustreFile] = None):
-        """Light-process twin of :meth:`fsync` (``yield from`` it)."""
         yield from self.scheduler.submit_lw("fsync", 0, self._fsync_impl_lw)
 
-    def _fsync_impl(self) -> None:
-        sim.run_blocking(self._fsync_impl_lw())
+    fsync = sim.blocking_form(fsync_lw)
 
     def _fsync_impl_lw(self):
         tracer = _trace.TRACER
@@ -768,24 +665,12 @@ class LustreClient:
             if span is not None:
                 span.finish()
 
-    def read(self, file: LustreFile, offset: int, nbytes: int) -> bytes:
+    def read_lw(self, file: LustreFile, offset: int, nbytes: int):
         """Synchronous striped read; returns the logical bytes."""
         nbytes = min(nbytes, max(0, file.size - offset))
         if nbytes <= 0:
             return b""
-        rpcs = self._coalesce(file, offset, nbytes)
-        return self.scheduler.submit(
-            "read", nbytes,
-            lambda: self._read_impl(file, offset, nbytes, rpcs),
-            ost=rpcs[0].ost_index,
-        )
-
-    def read_lw(self, file: LustreFile, offset: int, nbytes: int):
-        """Light-process twin of :meth:`read` (``yield from`` it)."""
-        nbytes = min(nbytes, max(0, file.size - offset))
-        if nbytes <= 0:
-            return b""
-        rpcs = self._coalesce(file, offset, nbytes)
+        rpcs = self._coalesce_ranges(file, [(offset, nbytes)])
         return (
             yield from self.scheduler.submit_lw(
                 "read", nbytes,
@@ -794,10 +679,7 @@ class LustreClient:
             )
         )
 
-    def _read_impl(
-        self, file: LustreFile, offset: int, nbytes: int, rpcs: list[Rpc]
-    ) -> bytes:
-        return sim.run_blocking(self._read_impl_lw(file, offset, nbytes, rpcs))
+    read = sim.blocking_form(read_lw)
 
     def _read_impl_lw(
         self, file: LustreFile, offset: int, nbytes: int, rpcs: list[Rpc]

@@ -118,16 +118,8 @@ class Mds:
 
     # -- service -----------------------------------------------------------
 
-    def perform(self, op: str) -> None:
-        """Execute one metadata op (called from a sim process)."""
-        sim.run_blocking(self.perform_lw(op))
-
     def perform_lw(self, op: str):
-        """Light-process form of :meth:`perform` (``yield from`` it).
-
-        The single source of truth for MDS service; the thread form
-        drives this generator via :func:`sim.run_blocking`.
-        """
+        """Execute one metadata op on this server (``yield from`` it)."""
         cost = self.op_costs.get(op)
         if cost is None:
             raise KeyError(f"unknown MDS op {op!r}")
@@ -151,6 +143,8 @@ class Mds:
                 tele.observe("pfs.mds.service", sim.now() - start)
         finally:
             self._service.release()
+
+    perform = sim.blocking_form(perform_lw)
 
     @property
     def queue_length(self) -> int:
@@ -204,15 +198,13 @@ class MdsShardGroup:
 
     # -- service (charged by the client) -----------------------------------
 
-    def perform(self, op: str, path: Optional[str] = None) -> None:
-        """Execute one metadata op on the owning shard (sim process)."""
-        sim.run_blocking(self.perform_lw(op, path))
-
     def perform_lw(self, op: str, path: Optional[str] = None):
-        """Light-process twin of :meth:`perform` (``yield from`` it)."""
+        """Execute one metadata op on the shard owning ``path``."""
         yield from self.shard_for(path if path is not None else "").perform_lw(
             op
         )
+
+    perform = sim.blocking_form(perform_lw)
 
     # -- namespace (logical state; timing is charged separately) -----------
 

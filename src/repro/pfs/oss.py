@@ -61,17 +61,8 @@ class Oss:
     def recover(self) -> None:
         self.up = True
 
-    def transfer(self, nbytes: int) -> None:
-        """Move ``nbytes`` through this server (called from a sim process)."""
-        sim.run_blocking(self.transfer_lw(nbytes))
-
     def transfer_lw(self, nbytes: int):
-        """Light-process form of :meth:`transfer` (``yield from`` it).
-
-        The single source of truth for the OSS pipe model; the thread
-        form drives this generator via :func:`sim.run_blocking`, so both
-        backends charge identical pipe occupancy.
-        """
+        """Move ``nbytes`` through this server's pipe (``yield from`` it)."""
         if not self.up:
             # Unreached in practice (clients check before transferring),
             # but guard the pipe for direct callers.
@@ -101,6 +92,8 @@ class Oss:
         finally:
             if span is not None:
                 span.finish()
+
+    transfer = sim.blocking_form(transfer_lw)
 
     @property
     def queue_length(self) -> int:

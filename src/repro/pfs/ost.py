@@ -82,23 +82,6 @@ class Ost:
         else:
             self.disk = self._healthy_disk.scaled(factor)
 
-    def serve(
-        self,
-        client_id: int,
-        object_id: int,
-        offset: int,
-        nbytes: int,
-        is_write: bool,
-    ) -> None:
-        """Execute one RPC against the disk (called from a sim process).
-
-        Raises :class:`OstUnavailableError` while the target is down —
-        the client's retry path decides whether to back off or give up.
-        """
-        sim.run_blocking(
-            self.serve_lw(client_id, object_id, offset, nbytes, is_write)
-        )
-
     def serve_lw(
         self,
         client_id: int,
@@ -107,11 +90,11 @@ class Ost:
         nbytes: int,
         is_write: bool,
     ):
-        """Light-process form of :meth:`serve` (``yield from`` it).
+        """Execute one RPC against the disk (``yield from`` it).
 
-        The single source of truth for disk service + extent-lock
-        bookkeeping; the thread form drives this generator via
-        :func:`sim.run_blocking`, so both backends replay one schedule.
+        Disk service plus extent-lock bookkeeping.  Raises
+        :class:`OstUnavailableError` while the target is down — the
+        client's retry path decides whether to back off or give up.
         """
         tracer = _trace.TRACER
         if not self.up:
@@ -139,6 +122,8 @@ class Ost:
         finally:
             if span is not None:
                 span.finish()
+
+    serve = sim.blocking_form(serve_lw)
 
     def _serve_lw(
         self,

@@ -38,6 +38,7 @@ from repro.sim.engine import (
     LightProcess,
     Process,
     ProcessKilled,
+    blocking_form,
     current_engine,
     current_process,
     now,
@@ -55,6 +56,7 @@ __all__ = [
     "ProcessKilled",
     "Resource",
     "Store",
+    "blocking_form",
     "current_engine",
     "current_process",
     "now",

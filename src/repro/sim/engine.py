@@ -20,15 +20,20 @@ Two process backends share one heap:
   shuttles) use this backend; fleet-size workloads spawn tens of
   thousands of them.
 
-Both backends perform *identical* heap operations for the same logic —
-``run_blocking`` drives any light-process generator with the thread
-primitives — so a scenario replays the same (time, seq) schedule under
-either, and runs stay bit-reproducible.
+An operation that can park a process is written once, as a generator
+``X_lw``; its blocking name is ``X = blocking_form(X_lw)``, which drives
+that generator through :func:`run_blocking` with :func:`sleep` and
+:func:`wait`.  :func:`run_blocking` performs, yield for yield, the heap
+operations :meth:`LightProcess._resume_action` performs, so a scenario
+replays the same (time, seq) schedule under either backend and runs stay
+bit-reproducible.  That identity is a property of these two functions
+alone; no operation has a second body that must uphold it.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import itertools
 import threading
@@ -376,6 +381,28 @@ def run_blocking(gen) -> Any:
                 )
         except BaseException as exc:  # noqa: BLE001 — forwarded into the generator
             throw_exc = exc
+
+
+def blocking_form(genfn: Callable) -> Callable:
+    """The blocking entry point ``X`` of the generator function ``X_lw``.
+
+    ``X = blocking_form(X_lw)`` is the only way a parking operation gets
+    a blocking name: the result is a plain function (so it binds as a
+    method when assigned in a class body) that drives ``genfn`` with
+    :func:`run_blocking`.  It holds ``genfn`` itself rather than looking
+    ``X_lw`` up by attribute, so replacing the ``X_lw`` attribute (a
+    test double, an outside tracer) never reroutes ``X`` through it.
+    ``X`` carries ``genfn``'s module, docstring and signature
+    (``X.__wrapped__`` is ``genfn``) under the name without ``_lw``.
+    """
+
+    @functools.wraps(genfn)
+    def blocking(*args: Any, **kwargs: Any) -> Any:
+        return run_blocking(genfn(*args, **kwargs))
+
+    blocking.__name__ = genfn.__name__.removesuffix("_lw")
+    blocking.__qualname__ = genfn.__qualname__.removesuffix("_lw")
+    return blocking
 
 
 class Engine:

@@ -10,7 +10,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine, Event, wait
+from repro.sim.engine import Engine, Event, blocking_form
 
 
 class Resource:
@@ -18,8 +18,13 @@ class Resource:
 
     The canonical usage is a disk or network pipe::
 
-        with resource.request():
-            sim.sleep(service_time)
+        yield from resource.acquire_lw()
+        try:
+            yield service_time
+        finally:
+            resource.release()
+
+    Blocking-only code holds a slot with ``with resource.request():``.
     """
 
     def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
@@ -31,22 +36,8 @@ class Resource:
         self._in_use = 0
         self._queue: deque[Event] = deque()
 
-    def acquire(self) -> None:
-        """Block until a slot is free, then take it."""
-        if self._in_use < self.capacity and not self._queue:
-            self._in_use += 1
-            return
-        gate = Event(self.engine, name=f"{self.name}.acquire")
-        self._queue.append(gate)
-        wait(gate)
-        # The releaser transferred its slot to us (kept _in_use high).
-
     def acquire_lw(self):
-        """Light-process twin of :meth:`acquire` (``yield from`` it).
-
-        Performs the same queue/slot operations, parking via ``yield``
-        instead of :func:`wait`, so both backends replay one schedule.
-        """
+        """Take a slot, parking until one is free (``yield from`` it)."""
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             return
@@ -54,6 +45,8 @@ class Resource:
         self._queue.append(gate)
         yield gate
         # The releaser transferred its slot to us (kept _in_use high).
+
+    acquire = blocking_form(acquire_lw)
 
     def release(self) -> None:
         """Free a slot, waking the longest-waiting acquirer."""
@@ -93,7 +86,7 @@ class _ResourceContext:
 
 
 class Store:
-    """An unbounded FIFO of items with blocking ``get`` (a mailbox).
+    """An unbounded FIFO of items with a parking ``get`` (a mailbox).
 
     The MPI layer builds point-to-point messaging on one Store per
     (destination, tag) channel.
@@ -112,21 +105,15 @@ class Store:
         else:
             self._items.append(item)
 
-    def get(self) -> Any:
-        """Take the oldest item, blocking while the store is empty."""
-        if self._items:
-            return self._items.popleft()
-        gate = Event(self.engine, name=f"{self.name}.get")
-        self._getters.append(gate)
-        return wait(gate)
-
     def get_lw(self):
-        """Light-process twin of :meth:`get` (``yield from`` it)."""
+        """Take the oldest item, parking while the store is empty."""
         if self._items:
             return self._items.popleft()
         gate = Event(self.engine, name=f"{self.name}.get")
         self._getters.append(gate)
         return (yield gate)
+
+    get = blocking_form(get_lw)
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking take; None when empty."""

@@ -1,13 +1,15 @@
-"""Tests for the light-process twins of the MPI communicator.
+"""Tests for the MPI communicator's generators on the light backend.
 
-The ``*_lw`` generators must produce the same message order, wire
-timing, and barrier semantics as their thread-backed twins — several
-tests run the identical program on both backends and compare schedules.
+The ``*_lw`` generators are the only bodies (the blocking names are
+their ``sim.blocking_form``); several tests run the identical program on
+both backends and compare schedules.
 """
+
+from collections import Counter
 
 import pytest
 
-from repro import sim
+from repro import sim, trace
 from repro.mpi import Network, World
 
 
@@ -142,3 +144,37 @@ class TestBackendEquivalence:
                 return [h.result for h in handles], final, engine._heap_pushes
 
         assert run(True) == run(False)
+
+
+class TestTracedLightRanks:
+    """Light ranks record the same ``mpi`` spans thread ranks do."""
+
+    @staticmethod
+    def _program(comm):
+        if comm.rank == 0:
+            yield from comm.send_lw("m", dest=1, tag=3)
+            yield from comm.channel_send_lw("chan", "c", dest=1)
+        elif comm.rank == 1:
+            yield from comm.recv_lw(source=0, tag=3)
+            yield from comm.channel_recv_lw("chan")
+        yield from comm.barrier_lw()
+        return sim.now()
+
+    def test_recv_channel_recv_and_barrier_open_spans(self):
+        with trace.session() as tracer:
+            _run_light(3, self._program)
+        spans = Counter(
+            span.name for span in tracer.spans if span.category == "mpi"
+        )
+        assert spans == {
+            "send": 1, "recv": 1, "channel_send": 1, "channel_recv": 1,
+            "barrier": 3,
+        }
+        waited = [s for s in tracer.spans if s.name == "barrier"]
+        assert all(s.end == waited[0].end for s in waited)
+
+    def test_tracing_leaves_the_schedule_untouched(self):
+        untraced = _run_light(3, self._program)
+        with trace.session():
+            traced = _run_light(3, self._program)
+        assert traced == untraced  # results, final time, engine._heap_pushes
