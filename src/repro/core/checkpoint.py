@@ -201,12 +201,16 @@ class Checkpointer:
         :class:`~repro.errors.NotFoundError` for a missing/uncommitted
         epoch.
         """
-        if not self._is_committed(epoch):
-            raise NotFoundError(f"epoch {epoch} was never committed")
-        manifest = deserialize_value(
-            self.manager.get(self._epoch_key(epoch, "manifest"))
-        )
+        return self._read_verified(epoch)[0]
+
+    def _read_verified(
+        self, epoch: int
+    ) -> tuple[CheckpointInfo, dict[str, bytes]]:
+        """Every block of ``epoch``, CRC-checked: one manifest read and one
+        get per block, shared by :meth:`verify` and :meth:`load`."""
+        manifest = self.block_index(epoch)
         info = CheckpointInfo(epoch=epoch)
+        payloads: dict[str, bytes] = {}
         for name, (length, crc) in manifest.items():
             payload = self.manager.get(self._epoch_key(epoch, "data", name))
             if len(payload) != length or crc32c(payload) != crc:
@@ -214,7 +218,8 @@ class Checkpointer:
                     f"epoch {epoch} block {name!r}: CRC/length mismatch"
                 )
             info.blocks[name] = (length, crc)
-        return info
+            payloads[name] = payload
+        return info, payloads
 
     def block_index(self, epoch: int) -> dict[str, tuple[int, int]]:
         """Enumerate ``epoch``'s blocks from the manifest: one read, no
@@ -236,15 +241,10 @@ class Checkpointer:
 
     def load(self, epoch: int) -> dict[str, Any]:
         """Load one epoch's state after verifying every block CRC."""
-        self.verify(epoch)
-        manifest = deserialize_value(
-            self.manager.get(self._epoch_key(epoch, "manifest"))
-        )
+        _, payloads = self._read_verified(epoch)
         return {
-            name: deserialize_value(
-                self.manager.get(self._epoch_key(epoch, "data", name))
-            )
-            for name in manifest
+            name: deserialize_value(payload)
+            for name, payload in payloads.items()
         }
 
     def load_latest(self) -> tuple[int, dict[str, Any]]:

@@ -17,6 +17,21 @@ def manager():
     manager.close()
 
 
+class CountingGets:
+    """A manager proxy that records the key of every ``get``."""
+
+    def __init__(self, manager):
+        self._manager = manager
+        self.keys = []
+
+    def get(self, key):
+        self.keys.append(key)
+        return self._manager.get(key)
+
+    def __getattr__(self, name):
+        return getattr(self._manager, name)
+
+
 def state_for(epoch):
     return {
         "field": np.arange(16, dtype=np.float64) * epoch,
@@ -104,6 +119,33 @@ class TestCommitProtocol:
         epoch, state = ckpt.load_latest()
         assert epoch == 1
         assert state["step"] == 1
+
+    def test_same_length_bitflip_falls_back(self, manager):
+        """A tampered block of unchanged length is caught by the CRC alone
+        on the single-read restore path."""
+        ckpt = Checkpointer(manager)
+        ckpt.save(1, state_for(1))
+        ckpt.save(2, state_for(2))
+        key = "ckpt/00000002/data/field"
+        raw = bytearray(manager.get(key))
+        raw[-1] ^= 0x01
+        manager.put(key, bytes(raw))
+        manager.write_barrier()
+        with pytest.raises(CorruptionError):
+            ckpt.load(2)
+        epoch, state = ckpt.load_latest()
+        assert epoch == 1
+        np.testing.assert_array_equal(state["field"], state_for(1)["field"])
+
+    def test_load_reads_each_block_once(self, manager):
+        counting = CountingGets(manager)
+        ckpt = Checkpointer(counting)
+        ckpt.save(1, state_for(1))
+        counting.keys.clear()
+        ckpt.load(1)
+        # commit marker + manifest + one get per block
+        assert len(counting.keys) == 2 + len(state_for(1))
+        assert len(set(counting.keys)) == len(counting.keys)
 
     def test_all_epochs_corrupt_raises(self, manager):
         ckpt = Checkpointer(manager)
