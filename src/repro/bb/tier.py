@@ -410,38 +410,29 @@ class BurstBufferTier:
         making (evict + backpressure wait) included — because that wait
         is exactly what the tier's effective-bandwidth claim hides.
         """
-        tele = _trace.TELEMETRY
-        if tele is None:
-            return self._absorb_impl(path, chunk)
-        start = sim.now()
-        try:
-            return self._absorb_impl(path, chunk)
-        finally:
-            tele.observe("bb.absorb", sim.now() - start)
-
-    def _absorb_impl(self, path: str, chunk: bytes) -> bool:
-        self._check_alive()
-        self._advance(sim.now())
-        if not self.device.up:
-            self._degrade("device down")
-            return False
-        if not self._make_room(len(chunk)):
-            if not self.config.degrade_on_overflow:
-                raise StorageIOError(
-                    f"burst buffer full ({self.device.used_bytes} / "
-                    f"{self.config.capacity} bytes) and degradation "
-                    "is disabled"
-                )
-            self._degrade("tier overflow")
-            return False
-        try:
-            self.device.append(path, chunk)
-        except StorageIOError:
-            self._degrade("device failed mid-write")
-            return False
-        self.stats.bytes_absorbed += len(chunk)
-        self._refresh_gauges()
-        return True
+        with _trace.timer("bb.absorb"):
+            self._check_alive()
+            self._advance(sim.now())
+            if not self.device.up:
+                self._degrade("device down")
+                return False
+            if not self._make_room(len(chunk)):
+                if not self.config.degrade_on_overflow:
+                    raise StorageIOError(
+                        f"burst buffer full ({self.device.used_bytes} / "
+                        f"{self.config.capacity} bytes) and degradation "
+                        "is disabled"
+                    )
+                self._degrade("tier overflow")
+                return False
+            try:
+                self.device.append(path, chunk)
+            except StorageIOError:
+                self._degrade("device failed mid-write")
+                return False
+            self.stats.bytes_absorbed += len(chunk)
+            self._refresh_gauges()
+            return True
 
     def _make_room(self, nbytes: int) -> bool:
         """The first two ladder rungs: evict, then backpressure-wait."""
@@ -454,27 +445,22 @@ class BurstBufferTier:
         waited_from = sim.now()
         self.stats.overflow_waits += 1
         self._report.overflow_waits += 1
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "bb", "backpressure", tier=self.name, nbytes=nbytes,
-            )
         try:
-            while sim.now() < deadline:
-                if self._pending == 0 and not self._parked:
-                    break  # nothing draining: waiting cannot help
-                sim.sleep(min(_BACKPRESSURE_SLICE, deadline - sim.now()))
-                self._check_alive()
-                self._evict_committed(nbytes)
-                if self.device.free_bytes >= nbytes:
-                    return True
+            with _trace.probe(
+                "bb", "backpressure", tier=self.name, nbytes=nbytes,
+            ):
+                while sim.now() < deadline:
+                    if self._pending == 0 and not self._parked:
+                        break  # nothing draining: waiting cannot help
+                    sim.sleep(min(_BACKPRESSURE_SLICE, deadline - sim.now()))
+                    self._check_alive()
+                    self._evict_committed(nbytes)
+                    if self.device.free_bytes >= nbytes:
+                        return True
         finally:
             waited = sim.now() - waited_from
             self.stats.overflow_wait_time += waited
             self._report.overflow_wait_time += waited
-            if span is not None:
-                span.finish()
         return self.device.free_bytes >= nbytes
 
     def _evict_committed(self, needed: int) -> None:
@@ -575,16 +561,12 @@ class BurstBufferTier:
         self._drain_count += 1
         crash = self._drain_crashes.pop(self._drain_count, None)
         start = sim.now()
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "bb", "drain", tier=self.name, path=path, nbytes=seg.size,
-            )
         try:
-            self._copy_out(path, seg, crash)
-        except SimulatedCrash:
-            raise
+            with _trace.probe(
+                "bb", "drain", "bb.drain", tier=self.name, path=path,
+                nbytes=seg.size,
+            ):
+                self._copy_out(path, seg, crash)
         except StorageIOError as exc:
             self._parked[path] = seq
             self.stats.drain_failures += 1
@@ -596,12 +578,6 @@ class BurstBufferTier:
             self._report.error = self._report.error or str(exc)
             self.last_degraded_report = self._report
             return
-        finally:
-            tele = _trace.TELEMETRY
-            if tele is not None:
-                tele.observe("bb.drain", sim.now() - start)
-            if span is not None:
-                span.finish()
         if self._segments.get(path) is not seg:
             # re-sealed/renamed while we were copying: the bytes we just
             # wrote are a stale prefix the newer drain task will overwrite

@@ -30,11 +30,12 @@ from repro.errors import (
 from repro.lsm.batch import WriteBatch
 from repro.lsm.env import Env
 from repro.core.checkpoint import DegradedWriteReport
-from repro.core.counters import PerfCounters, ambient_clock
+from repro.core.counters import PerfCounters
 from repro.core.options import LsmioOptions
 from repro.core.serialization import deserialize_value, serialize_value
 from repro.core.store import LsmioStore
 from repro.trace import runtime as _trace
+from repro.trace.runtime import ambient_clock
 
 #: storage faults that a barrier converts into a DegradedWriteError
 _BARRIER_FAULTS = (OstUnavailableError, RetryExhaustedError, RpcTimeoutError)
@@ -124,9 +125,6 @@ class LsmioManager:
         # at the write-buffer threshold.
         self._pending: Optional[WriteBatch] = None
         self._pending_limit = self.options.write_buffer_size
-        self._batch_writes = bool(
-            getattr(self.options, "batch_writes", True)
-        )
         self._db_merges_seen = 0
         self._client_coalesced_seen = 0
         #: the node's burst-buffer tier (None without one configured)
@@ -202,36 +200,18 @@ class LsmioManager:
         # Counter invariant: bytes accounted == bytes the store writes,
         # i.e. the UTF-8-encoded length, never len() of a str argument.
         nbytes = len(value)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("core", "put", nbytes=nbytes)
         start = ambient_clock()
-        try:
+        with _trace.probe("core", "put", "core.put", nbytes=nbytes):
             self._forward_or_apply(("put", key, value, sync))
-        finally:
-            if span is not None:
-                span.finish()
-        elapsed = ambient_clock() - start
-        self.counters.record("put", nbytes, elapsed)
-        tele = _trace.TELEMETRY
-        if tele is not None:
-            tele.observe("core.put", elapsed)
+        self.counters.record("put", nbytes, ambient_clock() - start)
 
     def append(self, key: bytes | str, value: bytes | str, sync: Optional[bool] = None) -> None:
         """Append to the existing value, locally or remotely."""
         key, value = _as_key(key), _as_value(value)
         nbytes = len(value)  # encoded length — see put()
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("core", "append", nbytes=nbytes)
         start = ambient_clock()
-        try:
+        with _trace.probe("core", "append", nbytes=nbytes):
             self._forward_or_apply(("append", key, value, sync))
-        finally:
-            if span is not None:
-                span.finish()
         self.counters.record("append", nbytes, ambient_clock() - start)
 
     def delete(self, key: bytes | str) -> None:
@@ -243,12 +223,8 @@ class LsmioManager:
     def get(self, key: bytes | str) -> bytes:
         """Get the value for the key.  Always synchronous (Table 2)."""
         key = _as_key(key)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("core", "get")
         start = ambient_clock()
-        try:
+        with _trace.probe("core", "get") as span:
             self._check_open()
             if self.is_aggregator:
                 self._flush_pending()
@@ -264,11 +240,7 @@ class LsmioManager:
                 if status == "err":
                     raise payload
                 value = payload
-            if span is not None:
-                span.set(nbytes=len(value))
-        finally:
-            if span is not None:
-                span.finish()
+            span.set(nbytes=len(value))
         self.counters.record("get", len(value), ambient_clock() - start)
         return value
 
@@ -285,68 +257,51 @@ class LsmioManager:
         injector installed this is the original fast path plus one
         attribute probe.
         """
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("core", "barrier", sync=sync):
-                return self._write_barrier(sync)
-        return self._write_barrier(sync)
-
-    def _write_barrier(self, sync: bool) -> None:
-        start = ambient_clock()
-        self._check_open()
-        injector = self._fault_injector()
-        if injector is not None:
-            injector.maybe_crash_rank(
-                start, self.comm.rank if self.comm is not None else 0
-            )
-        before = self._fault_snapshot()
-        try:
-            if self.is_aggregator:
-                self._flush_pending()
-                self.store.write_barrier(sync=sync)
-            else:
-                self.comm.channel_send(
-                    _OPS_CHANNEL,
-                    ("barrier", self.comm.rank, sync),
-                    self.aggregator_rank,
+        with _trace.probe("core", "barrier", "core.barrier", sync=sync):
+            start = ambient_clock()
+            self._check_open()
+            injector = self._fault_injector()
+            if injector is not None:
+                injector.maybe_crash_rank(
+                    start, self.comm.rank if self.comm is not None else 0
                 )
-                status, payload = self.comm.channel_recv(
-                    _reply_channel(self.comm.rank)
-                )
-                if status == "err":
-                    raise payload
-        except _BARRIER_FAULTS as exc:
+            before = self._fault_snapshot()
+            fault = None
+            try:
+                if self.is_aggregator:
+                    self._flush_pending()
+                    self.store.write_barrier(sync=sync)
+                else:
+                    self.comm.channel_send(
+                        _OPS_CHANNEL,
+                        ("barrier", self.comm.rank, sync),
+                        self.aggregator_rank,
+                    )
+                    status, payload = self.comm.channel_recv(
+                        _reply_channel(self.comm.rank)
+                    )
+                    if status == "err":
+                        raise payload
+            except _BARRIER_FAULTS as exc:
+                fault = exc
             self._sync_group_commit_counters()
-            report = self._barrier_report(before, completed=False, error=str(exc))
+            report = self._barrier_report(
+                before,
+                completed=fault is None,
+                error=None if fault is None else str(fault),
+            )
             self.last_barrier_report = report
-            self.counters.record_faults(
-                report.retries,
-                report.timeouts,
-                report.backoff_time,
-                degraded=True,
-                failed=True,
-            )
-            elapsed = ambient_clock() - start
-            self.counters.record("barrier", elapsed=elapsed)
-            tele = _trace.TELEMETRY
-            if tele is not None:
-                tele.observe("core.barrier", elapsed)
-            raise DegradedWriteError(report.summary(), report=report) from exc
-        self._sync_group_commit_counters()
-        report = self._barrier_report(before, completed=True)
-        self.last_barrier_report = report
-        if report.degraded:
-            self.counters.record_faults(
-                report.retries,
-                report.timeouts,
-                report.backoff_time,
-                degraded=True,
-            )
-        elapsed = ambient_clock() - start
-        self.counters.record("barrier", elapsed=elapsed)
-        tele = _trace.TELEMETRY
-        if tele is not None:
-            tele.observe("core.barrier", elapsed)
+            if report.degraded:
+                self.counters.record_faults(
+                    report.retries,
+                    report.timeouts,
+                    report.backoff_time,
+                    degraded=True,
+                    failed=fault is not None,
+                )
+            self.counters.record("barrier", elapsed=ambient_clock() - start)
+            if fault is not None:
+                raise DegradedWriteError(report.summary(), report=report) from fault
 
     def drain_barrier(self):
         """Wait for the burst-buffer drain backlog to reach the PFS.
@@ -359,11 +314,8 @@ class LsmioManager:
         """
         if self.burst_buffer is None:
             return None
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("core", "drain_barrier"):
-                return self.burst_buffer.drain_barrier()
-        return self.burst_buffer.drain_barrier()
+        with _trace.probe("core", "drain_barrier"):
+            return self.burst_buffer.drain_barrier()
 
     # -- fault plumbing (all no-ops on a healthy/local setup) ----------
 
@@ -508,15 +460,7 @@ class LsmioManager:
                 )
             self.comm.channel_send(_OPS_CHANNEL, op, self.aggregator_rank)
             return
-        if self._batch_writes:
-            self._accumulate(kind, key, value, sync)
-            return
-        if kind == "put":
-            self.store.put(key, value, sync=sync)
-        elif kind == "append":
-            self.store.append(key, value, sync=sync)
-        else:
-            self.store.delete(key)
+        self._accumulate(kind, key, value, sync)
 
     def _accumulate(
         self, kind: str, key: bytes, value: bytes, sync: Optional[bool]
@@ -549,18 +493,11 @@ class LsmioManager:
         self._pending = None
         if len(pending) > 1:
             self.counters.batches_merged += len(pending) - 1
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "core", "flush_pending", ops=len(pending),
-                nbytes=pending.payload_bytes, sync=sync,
-            )
-        try:
+        with _trace.probe(
+            "core", "flush_pending", ops=len(pending),
+            nbytes=pending.payload_bytes, sync=sync,
+        ):
             self.store.write_batch(pending, sync=sync)
-        finally:
-            if span is not None:
-                span.finish()
 
     def _sync_group_commit_counters(self) -> None:
         """Fold engine/client coalescing telemetry into the perf counters.
@@ -613,14 +550,7 @@ class LsmioManager:
                 # the aggregator's own, so one group commit covers the
                 # whole collective group.
                 _, key, value, sync = msg
-                if self._batch_writes:
-                    self._accumulate(kind, key, value, sync)
-                elif kind == "put":
-                    self.store.put(key, value, sync=sync)
-                elif kind == "append":
-                    self.store.append(key, value, sync=sync)
-                else:
-                    self.store.delete(key)
+                self._accumulate(kind, key, value, sync)
             elif kind == "get":
                 _, src, key = msg
                 try:

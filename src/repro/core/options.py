@@ -50,13 +50,6 @@ class LsmioOptions:
     block_size: int | str = "4K"
     # ---------------------------------------------------------------------
 
-    #: accumulate manager puts/appends/deletes into a WriteBatch flushed
-    #: as one group commit at the write barrier (or when it reaches
-    #: ``write_buffer_size``, or before any read).  Modeled CPU is still
-    #: charged per operation, so simulated results do not change; the
-    #: saving is wall-clock per-put engine overhead.
-    batch_writes: bool = True
-
     checksum: str | ChecksumType = ChecksumType.ZLIB_CRC32
     bloom_bits_per_key: int = 10
     #: charge hook for modeled CPU cost under simulation (None = off)

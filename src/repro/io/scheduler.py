@@ -233,14 +233,7 @@ class DeficitRoundRobinPolicy(QueuePolicy):
 
     name = "drr"
 
-    def __init__(
-        self,
-        weights: Optional[Dict[Priority, int]] = None,
-        quantum: int = 1 << 20,
-    ) -> None:
-        self._weights = dict(DEFAULT_DRR_WEIGHTS)
-        if weights:
-            self._weights.update(weights)
+    def __init__(self, quantum: int = 1 << 20) -> None:
         self._quantum = int(quantum)
         self._rotor = list(Priority)
         self._queues = {p: _OstQueues() for p in Priority}
@@ -268,7 +261,7 @@ class DeficitRoundRobinPolicy(QueuePolicy):
                 self._advance()
                 continue
             if not self._charged:
-                self._deficit[cls] += self._quantum * self._weights[cls]
+                self._deficit[cls] += self._quantum * DEFAULT_DRR_WEIGHTS[cls]
                 self._charged = True
             head = q.peek()
             cost = max(head.nbytes, 1)
@@ -289,13 +282,13 @@ class DeficitRoundRobinPolicy(QueuePolicy):
 POLICIES = ("fifo", "strict", "drr")
 
 
-def make_policy(name: str, **kwargs) -> QueuePolicy:
+def make_policy(name: str, drr_quantum: int = 1 << 20) -> QueuePolicy:
     if name == "fifo":
         return FifoPolicy()
     if name == "strict":
         return StrictPriorityPolicy()
     if name == "drr":
-        return DeficitRoundRobinPolicy(**kwargs)
+        return DeficitRoundRobinPolicy(drr_quantum)
     raise ValueError(f"unknown I/O policy {name!r} (expected one of {POLICIES})")
 
 
@@ -398,7 +391,6 @@ class IoScheduler:
         name: str = "sched",
         compaction_bandwidth: Optional[float] = None,
         drr_quantum: int = 1 << 20,
-        drr_weights: Optional[Dict[Priority, int]] = None,
     ) -> None:
         self._engine = engine
         self.name = name
@@ -412,7 +404,6 @@ class IoScheduler:
             policy,
             compaction_bandwidth=compaction_bandwidth,
             drr_quantum=drr_quantum,
-            drr_weights=drr_weights,
         )
 
     @property
@@ -428,19 +419,13 @@ class IoScheduler:
         policy: str,
         compaction_bandwidth: Optional[float] = None,
         drr_quantum: int = 1 << 20,
-        drr_weights: Optional[Dict[Priority, int]] = None,
     ) -> None:
         """Swap the admission policy (only while the queues are idle)."""
         if self._active is not None or len(self._policy):
             raise RuntimeError(
                 "cannot change I/O policy with requests in flight"
             )
-        if policy == "drr":
-            self._policy = DeficitRoundRobinPolicy(
-                weights=drr_weights, quantum=drr_quantum
-            )
-        else:
-            self._policy = make_policy(policy)
+        self._policy = make_policy(policy, drr_quantum)
         if compaction_bandwidth is not None:
             # 0 means "no throttle", matching the config convention.
             self.set_compaction_bandwidth(compaction_bandwidth)
@@ -504,22 +489,14 @@ class IoScheduler:
             if waited > 0.0:
                 stats.throttle_time += waited
                 stats.throttled_bytes += nbytes
-        tele = _trace.TELEMETRY
         if self._policy.inline:
             # FIFO fast path: no request object, no events (the fig5
             # bit-identity contract).
             stats.inline_issues += 1
             stats.class_issued[cls] += 1
-            if tele is None:
+            _trace.observe(_WAIT_KEYS[cls], 0.0)
+            with _trace.timer(_SERVICE_KEYS[cls]):
                 return (yield from run())
-            tele.observe(_WAIT_KEYS[cls], 0.0)
-            start = _trace.ambient_clock()
-            try:
-                return (yield from run())
-            finally:
-                tele.observe(
-                    _SERVICE_KEYS[cls], _trace.ambient_clock() - start
-                )
         request = IoRequest(
             kind=kind,
             priority=priority,
@@ -531,8 +508,7 @@ class IoScheduler:
         )
         if self._active is None and not len(self._policy):
             self._active = request
-            if tele is not None:
-                tele.observe(_WAIT_KEYS[cls], 0.0)
+            _trace.observe(_WAIT_KEYS[cls], 0.0)
         else:
             request._gate = sim.Event(
                 self._engine, name=f"{self.name}.grant{request.seq}"
@@ -542,34 +518,20 @@ class IoScheduler:
             if depth > stats.max_queue_depth:
                 stats.max_queue_depth = depth
             tracer = _trace.TRACER
-            span = None
             if tracer is not None:
                 tracer.gauge("io", f"{self.name}.depth", depth)
-                span = tracer.span(
-                    "io", "sched.wait", sched=self.name, kind=kind,
-                    cls=cls, nbytes=nbytes,
-                )
-            try:
+            with _trace.probe(
+                "io", "sched.wait", _WAIT_KEYS[cls], sched=self.name,
+                kind=kind, cls=cls, nbytes=nbytes,
+            ):
                 yield request._gate
-            finally:
-                if span is not None:
-                    span.finish()
             stats.queued_issues += 1
-            waited_q = sim.now() - request.submit_time
-            stats.class_stall_time[cls] += waited_q
-            if tele is not None:
-                tele.observe(_WAIT_KEYS[cls], waited_q)
+            stats.class_stall_time[cls] += sim.now() - request.submit_time
         stats.class_issued[cls] += 1
-        if tele is None:
-            try:
-                return (yield from run())
-            finally:
-                self._finish()
-        start = _trace.ambient_clock()
         try:
-            return (yield from run())
+            with _trace.timer(_SERVICE_KEYS[cls]):
+                return (yield from run())
         finally:
-            tele.observe(_SERVICE_KEYS[cls], _trace.ambient_clock() - start)
             self._finish()
 
     def submit(

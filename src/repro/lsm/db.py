@@ -370,21 +370,10 @@ class DB:
                 self.stats.max_commit_queue_depth = depth
             leads = queue[0] is writer
         if not leads:
-            tracer = _trace.TRACER
-            tele = _trace.TELEMETRY
-            start = self._stall_clock() if tele is not None else 0.0
-            stall = None
-            if tracer is not None:
-                stall = tracer.span("lsm", "commit_stall", depth=depth)
-            try:
+            with _trace.probe(
+                "lsm", "commit_stall", "lsm.commit_stall", depth=depth
+            ):
                 writer.gate.wait()
-            finally:
-                if tele is not None:
-                    tele.observe(
-                        "lsm.commit_stall", self._stall_clock() - start
-                    )
-                if stall is not None:
-                    stall.finish()
             if writer.done:
                 if writer.error is not None:
                     raise writer.error
@@ -442,60 +431,45 @@ class DB:
 
     def _commit_group(self, group: list[_Writer]) -> None:
         """One WAL append + one memtable apply for the whole group."""
-        tracer = _trace.TRACER
-        tele = _trace.TELEMETRY
-        start = _trace.ambient_clock() if tele is not None else 0.0
-        try:
-            if tracer is not None:
-                span = tracer.span("lsm", "commit", group=len(group))
-                try:
-                    self._commit_group_inner(group, span)
-                finally:
-                    span.finish()
+        with _trace.probe(
+            "lsm", "commit", "lsm.commit", group=len(group)
+        ) as span:
+            leader = group[0]
+            if len(group) == 1:
+                batch = leader.batch
             else:
-                self._commit_group_inner(group, None)
-        finally:
-            if tele is not None:
-                tele.observe("lsm.commit", _trace.ambient_clock() - start)
-
-    def _commit_group_inner(self, group: list[_Writer], span) -> None:
-        leader = group[0]
-        if len(group) == 1:
-            batch = leader.batch
-        else:
-            batch = self._group_batch
-            batch.clear()
-            for member in group:
-                batch.merge_from(member.batch)
-            self.stats.group_commits += 1
-            self.stats.batches_merged += len(group) - 1
-        sequence = self._versions.last_sequence + 1
-        self._versions.last_sequence += len(batch)
-        use_wal = self._options.enable_wal and not leader.disable_wal
-        if span is not None:
+                batch = self._group_batch
+                batch.clear()
+                for member in group:
+                    batch.merge_from(member.batch)
+                self.stats.group_commits += 1
+                self.stats.batches_merged += len(group) - 1
+            sequence = self._versions.last_sequence + 1
+            self._versions.last_sequence += len(batch)
+            use_wal = self._options.enable_wal and not leader.disable_wal
             span.set(nbytes=batch.payload_bytes, wal=use_wal)
-        if use_wal:
-            scratch = self._wal_scratch
-            del scratch[:]
-            self._wal.add_record(batch.serialize_into(scratch, sequence))
-            self.stats.wal_records += 1
-            if any(member.sync for member in group):
-                self._wal.sync()
-                self.stats.wal_syncs += 1
-        self._apply_to_memtable(batch, sequence)
-        self.stats.writes += len(batch)
-        self.stats.bytes_written += batch.payload_bytes
-        if self._options.cpu_charge is not None:
-            # Charge per constituent batch, not per merged group, so the
-            # modeled CPU cost (and simulated timings) of aggregated
-            # writes is identical to committing them individually.
-            for charge in batch.charge_sizes():
-                self._options.cpu_charge(charge, "memtable-insert")
-        if (
-            self._mem.approximate_memory_usage()
-            >= self._options.write_buffer_size
-        ):
-            self._freeze_memtable(roll_wal=True)
+            if use_wal:
+                scratch = self._wal_scratch
+                del scratch[:]
+                self._wal.add_record(batch.serialize_into(scratch, sequence))
+                self.stats.wal_records += 1
+                if any(member.sync for member in group):
+                    self._wal.sync()
+                    self.stats.wal_syncs += 1
+            self._apply_to_memtable(batch, sequence)
+            self.stats.writes += len(batch)
+            self.stats.bytes_written += batch.payload_bytes
+            if self._options.cpu_charge is not None:
+                # Charge per constituent batch, not per merged group, so the
+                # modeled CPU cost (and simulated timings) of aggregated
+                # writes is identical to committing them individually.
+                for charge in batch.charge_sizes():
+                    self._options.cpu_charge(charge, "memtable-insert")
+            if (
+                self._mem.approximate_memory_usage()
+                >= self._options.write_buffer_size
+            ):
+                self._freeze_memtable(roll_wal=True)
 
     def _apply_to_memtable(self, batch: WriteBatch, sequence: int) -> None:
         for offset, (vtype, key, value) in enumerate(batch.items()):
@@ -572,25 +546,14 @@ class DB:
         if l0 < slowdown and delay <= 0.0:
             return
         stats = self.compaction_stats
-        tracer = _trace.TRACER
         if l0 >= stop:
             stats.stop_writes += 1
-            span = (
-                tracer.span("lsm", "write_stop", l0=l0)
-                if tracer is not None
-                else None
-            )
             start = self._stall_clock()
-            try:
-                self._wait_for_compaction_progress(stop)
-            finally:
-                waited = self._stall_clock() - start
-                stats.stall_time += waited
-                tele = _trace.TELEMETRY
-                if tele is not None:
-                    tele.observe("lsm.stall", waited)
-                if span is not None:
-                    span.finish()
+            with _trace.probe("lsm", "write_stop", "lsm.stall", l0=l0):
+                try:
+                    self._wait_for_compaction_progress(stop)
+                finally:
+                    stats.stall_time += self._stall_clock() - start
             l0 = self._pending_l0()
             if pacer is not None:
                 pacer.observe(self._versions.current, len(self._imm))
@@ -607,29 +570,15 @@ class DB:
             # stall-window accounting only counts involuntary waits.
             if in_band:
                 stats.slowdown_writes += 1
-            span = (
-                tracer.span(
-                    "lsm",
-                    "write_slowdown" if in_band else "pacer_delay",
-                    l0=l0,
-                )
-                if tracer is not None
-                else None
-            )
-            try:
+            with _trace.probe(
+                "lsm", "write_slowdown" if in_band else "pacer_delay", l0=l0
+            ):
                 self._stall_sleep(delay)
-            finally:
-                if span is not None:
-                    span.finish()
             if in_band:
                 stats.stall_time += delay
             if pacer is not None:
                 stats.pacer_delay_time += delay
-            tele = _trace.TELEMETRY
-            if tele is not None:
-                tele.observe(
-                    "lsm.stall" if in_band else "lsm.pacer_delay", delay
-                )
+            _trace.observe("lsm.stall" if in_band else "lsm.pacer_delay", delay)
 
     def _wait_for_compaction_progress(self, stop: int) -> None:
         """Park until L0 drops below the stop trigger or progress ceases.
@@ -731,13 +680,9 @@ class DB:
         min_log: Optional[int] = None,
     ) -> None:
         """Write one frozen memtable as an L0 SSTable and install it."""
-        tracer = _trace.TRACER
-        tele = _trace.TELEMETRY
-        start = _trace.ambient_clock() if tele is not None else 0.0
-        span = None
-        if tracer is not None:
-            span = tracer.span("lsm", "memtable_flush", file=file_number)
-        try:
+        with _trace.probe(
+            "lsm", "memtable_flush", "lsm.flush", file=file_number
+        ) as span:
             path = self._env.join(self._dbname, table_file_name(file_number))
             dest = self._env.new_writable_file(path)
             builder = TableBuilder(self._options, dest)
@@ -746,8 +691,7 @@ class DB:
             size = builder.finish()
             dest.sync()
             dest.close()
-            if span is not None:
-                span.set(nbytes=size)
+            span.set(nbytes=size)
             meta = FileMetaData(
                 number=file_number,
                 file_size=size,
@@ -768,11 +712,6 @@ class DB:
                     self._delete_if_exists(log_file_name(number))
                 if self._pacer is not None:
                     self._pacer.observe(self._versions.current, len(self._imm))
-        finally:
-            if tele is not None:
-                tele.observe("lsm.flush", _trace.ambient_clock() - start)
-            if span is not None:
-                span.finish()
         if self._options.enable_compaction:
             # Separate job, separate service class: a write barrier can
             # drain FLUSH work without waiting for the compaction debt.
@@ -915,16 +854,10 @@ class DB:
         cstats = self.compaction_stats
         cstats.planned_boundaries += len(plan.boundaries)
         cstats.grandparent_seals += plan.grandparent_seals
-        tracer = _trace.TRACER
-        tele = _trace.TELEMETRY
-        start = _trace.ambient_clock() if tele is not None else 0.0
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "lsm", "compaction", level=task.level,
-                nbytes=task.total_bytes(),
-            )
-        try:
+        with _trace.probe(
+            "lsm", "compaction", "lsm.compaction", level=task.level,
+            nbytes=task.total_bytes(),
+        ) as span:
             if plan.boundaries:
                 self._run_partitioned(plan, span)
             else:
@@ -936,14 +869,9 @@ class DB:
                     self.stats.compacted_bytes += task.total_bytes()
                     self._remove_obsolete_files()
                     if self._pacer is not None:
-                        self._pacer.observe(self._versions.current, len(self._imm))
-        finally:
-            if tele is not None:
-                tele.observe(
-                    "lsm.compaction", _trace.ambient_clock() - start
-                )
-            if span is not None:
-                span.finish()
+                        self._pacer.observe(
+                            self._versions.current, len(self._imm)
+                        )
 
     def _run_partitioned(self, plan: CompactionPlan, span) -> None:
         """Execute a planned compaction as parallel key-range partitions.
@@ -968,8 +896,7 @@ class DB:
             # starts because pressure built back up since.
             self._pacer.observe(self._versions.current, len(self._imm))
             fanout = max(1, min(fanout, self._pacer.fanout))
-        if span is not None:
-            span.set(ranges=len(ranges), fanout=fanout)
+        span.set(ranges=len(ranges), fanout=fanout)
         outputs_by_range: dict[int, list] = {}
 
         def make_job(group):

@@ -75,7 +75,6 @@ class Options:
 
     create_if_missing: bool = True
     error_if_exists: bool = False
-    paranoid_checks: bool = True
 
     # --- the LSMIO §3.1.1 knob set -------------------------------------
     enable_wal: bool = True

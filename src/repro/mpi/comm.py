@@ -96,14 +96,10 @@ class Communicator:
             self.world.mailbox(dest, self.rank, tag).put(obj)
             return
         nbytes = message_size(obj)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "mpi", "send", src=self.rank, dest=dest, tag=tag,
-                nbytes=nbytes,
-            )
-        try:
+        with _trace.probe(
+            "mpi", "send", src=self.rank, dest=dest, tag=tag,
+            nbytes=nbytes,
+        ):
             nic = self.world._nics[self.rank]
             yield from nic.acquire_lw()
             try:
@@ -112,9 +108,6 @@ class Communicator:
                 nic.release()
             self.world.mailbox(dest, self.rank, tag).put(obj)
             self.world._any_source[dest].put((self.rank, tag))
-        finally:
-            if span is not None:
-                span.finish()
 
     send = sim.blocking_form(send_lw)
 
@@ -124,13 +117,7 @@ class Communicator:
         ``source=ANY_SOURCE`` matches messages from any rank with the
         given tag (arrival order).
         """
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "mpi", "recv", rank=self.rank, src=source, tag=tag,
-            )
-        try:
+        with _trace.probe("mpi", "recv", rank=self.rank, src=source, tag=tag):
             if source != ANY_SOURCE:
                 if not 0 <= source < self.size:
                     raise InvalidArgumentError(f"bad source rank {source}")
@@ -157,9 +144,6 @@ class Communicator:
             finally:
                 for notice in skipped:
                     notices.put(notice)
-        finally:
-            if span is not None:
-                span.finish()
 
     recv = sim.blocking_form(recv_lw)
 
@@ -186,40 +170,24 @@ class Communicator:
             raise InvalidArgumentError(f"bad destination rank {dest}")
         if dest != self.rank:
             nbytes = message_size(obj)
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                span = tracer.span(
-                    "mpi", "channel_send", src=self.rank, dest=dest,
-                    key=key, nbytes=nbytes,
-                )
-            try:
+            with _trace.probe(
+                "mpi", "channel_send", src=self.rank, dest=dest,
+                key=key, nbytes=nbytes,
+            ):
                 nic = self.world._nics[self.rank]
                 yield from nic.acquire_lw()
                 try:
                     yield self.world.network.transfer_time(nbytes)
                 finally:
                     nic.release()
-            finally:
-                if span is not None:
-                    span.finish()
         self.world.channel(dest, key).put(obj)
 
     channel_send = sim.blocking_form(channel_send_lw)
 
     def channel_recv_lw(self, key: str):
         """Take from this rank's named channel, parking while it is empty."""
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "mpi", "channel_recv", rank=self.rank, key=key,
-            )
-        try:
+        with _trace.probe("mpi", "channel_recv", rank=self.rank, key=key):
             return (yield from self.world.channel(self.rank, key).get_lw())
-        finally:
-            if span is not None:
-                span.finish()
 
     channel_recv = sim.blocking_form(channel_recv_lw)
 
@@ -236,11 +204,7 @@ class Communicator:
         Light and thread-backed ranks may share one barrier: the world's
         count/generation state and gate event are all there is.
         """
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("mpi", "barrier", rank=self.rank)
-        try:
+        with _trace.probe("mpi", "barrier", rank=self.rank):
             world = self.world
             world._barrier_count += 1
             gate = world._barrier_event
@@ -256,9 +220,6 @@ class Communicator:
                 gate.succeed()
             else:
                 yield gate
-        finally:
-            if span is not None:
-                span.finish()
 
     barrier = sim.blocking_form(barrier_lw)
 

@@ -462,13 +462,10 @@ class LustreClient:
         """NIC admission + write-behind spawn for one write submission."""
         engine = self.cluster.engine
         tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "pfs", "rpc_issue", client=self.client_id, rpcs=len(rpcs),
-                nbytes=sum(r.length for r in rpcs),
-            )
-        try:
+        with _trace.probe(
+            "pfs", "rpc_issue", client=self.client_id, rpcs=len(rpcs),
+            nbytes=sum([r.length for r in rpcs]),
+        ):
             for rpc in rpcs:
                 # osc.max_rpcs_in_flight: block until a slot frees before
                 # issuing another RPC (real clients bound dirty RPCs too).
@@ -499,22 +496,13 @@ class LustreClient:
                         f"client{self.client_id}.rpcs_in_flight",
                         len(self._outstanding),
                     )
-        finally:
-            if span is not None:
-                span.finish()
 
     def _write_behind_lw(self, rpc: Rpc):
         """One background write RPC (OSS pipe → OST disk), light process."""
-        tracer = _trace.TRACER
-        tele = _trace.TELEMETRY
-        start = sim.now() if tele is not None else 0.0
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "pfs", "write_rpc", client=self.client_id,
-                ost=rpc.ost_index, nbytes=rpc.length,
-            )
-        try:
+        with _trace.probe(
+            "pfs", "write_rpc", "pfs.rpc.write", client=self.client_id,
+            ost=rpc.ost_index, nbytes=rpc.length,
+        ) as span:
             yield from self._jitter_delay_lw()
             if self.cluster.fault_injector is None:
                 # Healthy fast path: identical to a cluster without the fault
@@ -534,13 +522,7 @@ class LustreClient:
                 # (like EIO reported from the page cache), not here — raising
                 # out of a background process would tear down the engine.
                 self._write_errors.append(exc)
-                if span is not None:
-                    span.set(failed=True)
-        finally:
-            if tele is not None:
-                tele.observe("pfs.rpc.write", sim.now() - start)
-            if span is not None:
-                span.finish()
+                span.set(failed=True)
 
     # -- retry/timeout/backoff (the degraded path) ------------------------
 
@@ -615,20 +597,11 @@ class LustreClient:
         if self._backoff_jitter > 0.0:
             delay *= 1.0 + self._backoff_jitter * float(self._retry_rng.random())
         self.stats.backoff_time += delay
-        tele = _trace.TELEMETRY
-        if tele is not None:
-            tele.observe("pfs.rpc.backoff", delay)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "pfs", "backoff", client=self.client_id, attempt=attempts,
-            )
-        try:
+        _trace.observe("pfs.rpc.backoff", delay)
+        with _trace.probe(
+            "pfs", "backoff", client=self.client_id, attempt=attempts,
+        ):
             yield delay
-        finally:
-            if span is not None:
-                span.finish()
 
     def fsync_lw(self, file: Optional[LustreFile] = None):
         """Park until all of this client's outstanding writes are stable.
@@ -642,16 +615,10 @@ class LustreClient:
     fsync = sim.blocking_form(fsync_lw)
 
     def _fsync_impl_lw(self):
-        tracer = _trace.TRACER
-        tele = _trace.TELEMETRY
-        start = sim.now() if tele is not None else 0.0
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "pfs", "fsync", client=self.client_id,
-                pending=sum(1 for p in self._outstanding if p.alive),
-            )
-        try:
+        with _trace.probe(
+            "pfs", "fsync", "pfs.fsync", client=self.client_id,
+            pending=len([p for p in self._outstanding if p.alive]),
+        ):
             pending, self._outstanding = self._outstanding, []
             for proc in pending:
                 if proc.alive:
@@ -659,11 +626,6 @@ class LustreClient:
             if self._write_errors:
                 errors, self._write_errors = self._write_errors, []
                 raise errors[0]
-        finally:
-            if tele is not None:
-                tele.observe("pfs.fsync", sim.now() - start)
-            if span is not None:
-                span.finish()
 
     def read_lw(self, file: LustreFile, offset: int, nbytes: int):
         """Synchronous striped read; returns the logical bytes."""
@@ -709,16 +671,10 @@ class LustreClient:
         return file.load(offset, nbytes)
 
     def _read_remote_lw(self, rpc: Rpc):
-        tracer = _trace.TRACER
-        tele = _trace.TELEMETRY
-        start = sim.now() if tele is not None else 0.0
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "pfs", "read_rpc", client=self.client_id,
-                ost=rpc.ost_index, nbytes=rpc.length,
-            )
-        try:
+        with _trace.probe(
+            "pfs", "read_rpc", "pfs.rpc.read", client=self.client_id,
+            ost=rpc.ost_index, nbytes=rpc.length,
+        ) as span:
             yield from self._jitter_delay_lw()
             if self.cluster.fault_injector is None:
                 yield from self.cluster.osts[rpc.ost_index].serve_lw(
@@ -735,13 +691,7 @@ class LustreClient:
                 # Reads are synchronous: the error re-raises in read() after
                 # every parallel RPC has settled.
                 self._read_errors.append(exc)
-                if span is not None:
-                    span.set(failed=True)
-        finally:
-            if tele is not None:
-                tele.observe("pfs.rpc.read", sim.now() - start)
-            if span is not None:
-                span.finish()
+                span.set(failed=True)
 
     def _jitter_delay_lw(self):
         """Fabric/scheduling variance, order-preserving per client.

@@ -128,19 +128,18 @@ class Mds:
             raise MdsUnavailableError(
                 f"mds{self.index} is down", shard_index=self.index
             )
-        tele = _trace.TELEMETRY
-        queued = sim.now() if tele is not None else 0.0
+        engine = self.engine
+        queued = engine.now
         yield from self._service.acquire_lw()
         try:
-            start = sim.now()
-            if tele is not None:
-                tele.observe("pfs.mds.wait", start - queued)
+            start = engine.now
+            _trace.observe("pfs.mds.wait", start - queued)
             yield cost
             self.stats.requests += 1
             self.stats.ops[op] = self.stats.ops.get(op, 0) + 1
-            self.stats.busy_time += sim.now() - start
-            if tele is not None:
-                tele.observe("pfs.mds.service", sim.now() - start)
+            busy = engine.now - start
+            self.stats.busy_time += busy
+            _trace.observe("pfs.mds.service", busy)
         finally:
             self._service.release()
 

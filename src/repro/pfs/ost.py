@@ -106,22 +106,17 @@ class Ost:
             raise OstUnavailableError(
                 f"ost{self.index} is down", ost_index=self.index
             )
-        span = None
         if tracer is not None:
             tracer.gauge(
                 "pfs", f"ost{self.index}.queue", self._service.queue_length,
             )
-            span = tracer.span(
-                "pfs", "ost_serve", ost=self.index, client=client_id,
-                nbytes=nbytes, write=is_write,
-            )
-        try:
+        with _trace.probe(
+            "pfs", "ost_serve", ost=self.index, client=client_id,
+            nbytes=nbytes, write=is_write,
+        ):
             yield from self._serve_lw(
                 client_id, object_id, offset, nbytes, is_write
             )
-        finally:
-            if span is not None:
-                span.finish()
 
     serve = sim.blocking_form(serve_lw)
 

@@ -498,7 +498,7 @@ class Engine:
                 "sim", "spawn", ts=self._now, track="engine",
                 proc=pname, daemon=daemon,
             )
-            proc._span = tracer.span("sim", f"proc:{pname}")
+            proc._span = _trace.probe("sim", f"proc:{pname}")
         return proc
 
     def _wrap(self, fn: Callable) -> Callable:
@@ -509,18 +509,13 @@ class Engine:
             token_proc = getattr(_TLS, "process", None)
             _TLS.engine = engine
             _TLS.process = engine._running_process
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                proc = _TLS.process
-                span = tracer.span(
-                    "sim", f"proc:{proc.name if proc is not None else 'proc'}"
-                )
+            proc = _TLS.process
             try:
-                return fn(*args, **kwargs)
+                with _trace.probe(
+                    "sim", f"proc:{proc.name if proc is not None else 'proc'}"
+                ):
+                    return fn(*args, **kwargs)
             finally:
-                if span is not None:
-                    span.finish()
                 _TLS.engine = token_engine
                 _TLS.process = token_proc
 

@@ -1,7 +1,9 @@
 """``repro.telemetry``: always-on histograms, gauge sampling, profiling.
 
-Three instruments layered on the PR 3 trace runtime, all off by default
-and free when off (one module-global read + identity check per site):
+Three instruments layered on the trace runtime, all off by default.
+Histogram samples are taken by the same ``repro.trace.runtime.probe``
+call that opens a span (``timer``/``observe`` at histogram-only sites);
+the engine reads the sampler and profiler once per ``run()``.
 
 - :class:`~repro.telemetry.histogram.LogHistogram` — fixed-boundary
   log-bucketed latency distributions at the choke points of all five

@@ -8,10 +8,11 @@ operations, and MPI messaging.  A :class:`MetricsRegistry` federates the
 pre-existing counter surfaces (``PerfCounters``, ``ClientStats``,
 ``DBStats``, per-server stats) behind one namespaced snapshot.
 
-Tracing is **off by default** and free when off: instrumented code holds
-one module-global read and a ``None`` check per site, allocating
-nothing.  Recording never advances simulated time, so traced runs are
-bit-identical to untraced ones.
+Tracing is **off by default** and cheap when off: each instrumented
+interval is one :func:`probe` call, which returns the shared
+``NULL_SPAN`` when no tracer or telemetry is installed.  Recording never
+advances simulated time, so traced runs are bit-identical to untraced
+ones.
 
 Quickstart::
 
@@ -39,7 +40,7 @@ from repro.trace.export import (
     write_payload,
 )
 from repro.trace.metrics import MetricsRegistry
-from repro.trace.runtime import NULL_SPAN, ambient_clock, span
+from repro.trace.runtime import NULL_SPAN, ambient_clock, probe
 from repro.trace.summary import phase_breakdown, summarize, top_spans
 from repro.trace.tracer import Span, Tracer
 
@@ -53,7 +54,7 @@ __all__ = [
     "current_tracer",
     "current_metrics",
     "session",
-    "span",
+    "probe",
     "ambient_clock",
     "to_chrome_trace",
     "validate_chrome_trace",

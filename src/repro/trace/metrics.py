@@ -1,13 +1,11 @@
 """The unified metrics registry.
 
-The repro has three pre-existing stat surfaces that could not be read
-through one API: :class:`~repro.core.counters.PerfCounters` (manager
-operation counters), :class:`~repro.pfs.client.ClientStats` plus the
-per-server ``OstStats``/``OssStats``/``MdsStats`` dataclasses (the PFS
-side), and :class:`~repro.lsm.db.DBStats` (the engine).  A
-:class:`MetricsRegistry` federates any number of such sources behind one
-namespaced snapshot: ``registry.snapshot()`` returns a flat
-``{"namespace.counter": value}`` dict.
+A :class:`MetricsRegistry` federates every registered stats source —
+:class:`~repro.core.counters.PerfCounters`,
+:class:`~repro.pfs.client.ClientStats` and the per-server stats
+dataclasses, :class:`~repro.lsm.db.DBStats`, the installed telemetry
+histograms — behind one namespaced snapshot: ``registry.snapshot()``
+returns a flat ``{"namespace.counter": value}`` dict.
 
 Sources are duck-typed — anything with a ``snapshot()`` method, any
 dataclass instance, a plain dict, or a zero-argument callable returning

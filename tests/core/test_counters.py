@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.counters import PerfCounters, ambient_clock
+from repro.core.counters import PerfCounters
+from repro.trace.runtime import ambient_clock
 
 
 class TestPerfCounters:

@@ -156,15 +156,6 @@ class TestGroupCommitAccounting:
             mgr.put("k2", b"w")
             assert [name for name, _ in mgr.scan()] == [b"k", b"k2"]
 
-    def test_batch_writes_off_restores_per_op_path(self):
-        opts = LsmioOptions(write_buffer_size="64K", batch_writes=False)
-        with make_manager(options=opts) as mgr:
-            for i in range(5):
-                mgr.put(f"k{i}", b"v")
-            mgr.write_barrier()
-            assert mgr.counters.batches_merged == 0
-            assert mgr.get("k0") == b"v"
-
     def test_sync_write_flushes_immediately(self):
         opts = LsmioOptions(write_buffer_size="64K", sync_writes=True)
         with make_manager(options=opts) as mgr:
