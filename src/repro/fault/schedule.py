@@ -27,6 +27,30 @@ import numpy as np
 
 from repro.errors import InvalidArgumentError, ReproError
 
+#: Kinds applied at a simulated time or once the target OST has served
+#: N requests: the server down/up transitions and disk degradation.
+_TRANSITIONS = (
+    "ost_down", "ost_up", "oss_down", "oss_up", "mds_down", "mds_up",
+    "disk_degrade",
+)
+
+#: Every :attr:`FaultSpec.kind`.
+FAULT_KINDS = _TRANSITIONS + (
+    "rpc_drop", "rpc_delay",  # fire per matching client->OSS RPC
+    "rank_crash",             # at the rank's N-th write barrier
+    "sync_fail",              # consumed by FaultyEnv
+    "bb_device_fail", "bb_device_recover", "bb_dirty_crash",  # repro.bb
+)
+
+#: The server failure domains, by kind prefix: the cluster's servers of
+#: that kind and the :class:`FaultStats` fields a down / up transition
+#: counts (``oss_up`` counts nothing).
+_SERVER_DOMAINS = {
+    "ost": (lambda cluster: cluster.osts, "osts_failed", "osts_recovered"),
+    "oss": (lambda cluster: cluster.osses, "osses_failed", None),
+    "mds": (lambda cluster: cluster.mds.shards, "mds_failed", "mds_recovered"),
+}
+
 
 class SimulatedCrash(ReproError):
     """A rank was killed by the fault schedule (process death).
@@ -50,14 +74,8 @@ class FaultSpec:
     by hand.
     """
 
-    kind: str                              # ost_down | ost_up | disk_degrade
-    #                                      # | mds_down | mds_up
-    #                                      # | rpc_drop | rpc_delay
-    #                                      # | sync_fail | rank_crash
-    #                                      # | bb_device_fail
-    #                                      # | bb_device_recover
-    #                                      # | bb_dirty_crash
-    target: Optional[int] = None           # OST index / rank; None = any
+    kind: str                              # one of FAULT_KINDS
+    target: Optional[int] = None           # server index / rank; None = any
     at_time: Optional[float] = None        # fire at this simulated time
     after_requests: Optional[int] = None   # fire once target served N reqs
     every: Optional[int] = None            # fire on every m-th matching event
@@ -109,21 +127,14 @@ class FaultSchedule:
             raise InvalidArgumentError(
                 "fail_ost needs at_time or after_requests"
             )
-        self.specs.append(
-            FaultSpec(
-                "ost_down",
-                target=int(ost),
-                at_time=at_time,
-                after_requests=after_requests,
-                duration=duration,
-            )
+        return self._transition(
+            "ost_down", ost, at_time, after_requests=after_requests,
+            duration=duration,
         )
-        return self
 
     def recover_ost(self, ost: int, at_time: float) -> "FaultSchedule":
         """Bring OST ``ost`` back up at ``at_time``."""
-        self.specs.append(FaultSpec("ost_up", target=int(ost), at_time=at_time))
-        return self
+        return self._transition("ost_up", ost, at_time)
 
     def degrade_disk(
         self,
@@ -136,33 +147,20 @@ class FaultSchedule:
         rebuild): every service-time component is multiplied."""
         if factor <= 0:
             raise InvalidArgumentError("degrade factor must be positive")
-        self.specs.append(
-            FaultSpec(
-                "disk_degrade",
-                target=int(ost),
-                at_time=at_time,
-                duration=duration,
-                factor=float(factor),
-            )
+        return self._transition(
+            "disk_degrade", ost, at_time, duration=duration, factor=float(factor)
         )
-        return self
 
     def fail_oss(
         self, oss: int, at_time: float, duration: Optional[float] = None
     ) -> "FaultSchedule":
         """Take OSS ``oss`` down at ``at_time``: every RPC to the OSTs it
         fronts times out until it recovers (after ``duration`` if given)."""
-        self.specs.append(
-            FaultSpec(
-                "oss_down", target=int(oss), at_time=at_time, duration=duration
-            )
-        )
-        return self
+        return self._transition("oss_down", oss, at_time, duration=duration)
 
     def recover_oss(self, oss: int, at_time: float) -> "FaultSchedule":
         """Bring OSS ``oss`` back up at ``at_time``."""
-        self.specs.append(FaultSpec("oss_up", target=int(oss), at_time=at_time))
-        return self
+        return self._transition("oss_up", oss, at_time)
 
     # -- MDS shard failure domains ---------------------------------------
 
@@ -172,18 +170,17 @@ class FaultSchedule:
         """Take MDS shard ``shard`` down at ``at_time``: every metadata
         RPC routed to it times out until recovery (after ``duration`` if
         given) — the namespace itself survives on the MDT."""
-        self.specs.append(
-            FaultSpec(
-                "mds_down", target=int(shard), at_time=at_time,
-                duration=duration,
-            )
-        )
-        return self
+        return self._transition("mds_down", shard, at_time, duration=duration)
 
     def recover_mds(self, shard: int, at_time: float) -> "FaultSchedule":
         """Bring MDS shard ``shard`` back up at ``at_time``."""
+        return self._transition("mds_up", shard, at_time)
+
+    def _transition(
+        self, kind: str, target: int, at_time: Optional[float], **fields
+    ) -> "FaultSchedule":
         self.specs.append(
-            FaultSpec("mds_up", target=int(shard), at_time=at_time)
+            FaultSpec(kind, target=int(target), at_time=at_time, **fields)
         )
         return self
 
@@ -361,26 +358,17 @@ class FaultInjector:
         self._crash_specs: dict[int, list[FaultSpec]] = defaultdict(list)
         self._barrier_counts: dict[int, int] = defaultdict(int)
         for spec in schedule.specs:
-            if spec.kind in (
-                "ost_down", "ost_up", "disk_degrade", "oss_down", "oss_up",
-                "mds_down", "mds_up",
-            ):
+            if spec.kind not in FAULT_KINDS:
+                raise InvalidArgumentError(f"unknown fault kind {spec.kind!r}")
+            if spec.kind in ("rpc_drop", "rpc_delay"):
+                self._rpc_specs.append(spec)
+            elif spec.kind == "rank_crash":
+                self._crash_specs[spec.target].append(spec)
+            elif spec.kind in _TRANSITIONS:
                 if spec.at_time is not None:
                     self._push_timed(spec.at_time, spec)
                 else:
                     self._count_failures[spec.target].append(spec)
-            elif spec.kind in ("rpc_drop", "rpc_delay"):
-                self._rpc_specs.append(spec)
-            elif spec.kind == "rank_crash":
-                self._crash_specs[spec.target].append(spec)
-            elif spec.kind == "sync_fail":
-                pass  # consumed by FaultyEnv
-            elif spec.kind in (
-                "bb_device_fail", "bb_device_recover", "bb_dirty_crash",
-            ):
-                pass  # consumed by repro.bb.BurstBufferTier
-            else:
-                raise InvalidArgumentError(f"unknown fault kind {spec.kind!r}")
 
     # -- installation ------------------------------------------------------
 
@@ -404,55 +392,8 @@ class FaultInjector:
             self._apply(at_time, spec)
 
     def _apply(self, at_time: float, spec: FaultSpec) -> None:
-        if spec.kind in ("mds_down", "mds_up"):
-            shard = self.cluster.mds.shards[spec.target]
-            if spec.kind == "mds_down" and shard.up:
-                shard.fail()
-                self.stats.mds_failed += 1
-                self._record(at_time, "mds_down", spec.target)
-                if spec.duration is not None:
-                    self._push_timed(
-                        at_time + spec.duration,
-                        FaultSpec("mds_up", target=spec.target),
-                    )
-            elif spec.kind == "mds_up" and not shard.up:
-                shard.recover()
-                self.stats.mds_recovered += 1
-                self._record(at_time, "mds_up", spec.target)
-            return
-        if spec.kind in ("oss_down", "oss_up"):
-            oss = self.cluster.osses[spec.target]
-            if spec.kind == "oss_down" and oss.up:
-                oss.fail()
-                self.stats.osses_failed += 1
-                self._record(at_time, "oss_down", spec.target)
-                if spec.duration is not None:
-                    self._push_timed(
-                        at_time + spec.duration,
-                        FaultSpec("oss_up", target=spec.target),
-                    )
-            elif spec.kind == "oss_up" and not oss.up:
-                oss.recover()
-                self._record(at_time, "oss_up", spec.target)
-            return
-        ost = self.cluster.osts[spec.target]
-        if spec.kind == "ost_down":
-            if ost.up:
-                ost.fail()
-                self.stats.osts_failed += 1
-                self._record(at_time, "ost_down", spec.target)
-                if spec.duration is not None:
-                    self._push_timed(
-                        at_time + spec.duration,
-                        FaultSpec("ost_up", target=spec.target),
-                    )
-        elif spec.kind == "ost_up":
-            if not ost.up:
-                ost.recover()
-                self.stats.osts_recovered += 1
-                self._record(at_time, "ost_up", spec.target)
-        elif spec.kind == "disk_degrade":
-            ost.degrade_disk(spec.factor)
+        if spec.kind == "disk_degrade":
+            self.cluster.osts[spec.target].degrade_disk(spec.factor)
             self.stats.disks_degraded += 1
             self._record(at_time, "disk_degrade", spec.target)
             if spec.duration is not None:
@@ -460,6 +401,27 @@ class FaultInjector:
                     at_time + spec.duration,
                     FaultSpec("disk_degrade", target=spec.target, factor=None),
                 )
+            return
+        domain, _, transition = spec.kind.partition("_")
+        servers, failed, recovered = _SERVER_DOMAINS[domain]
+        server = servers(self.cluster)[spec.target]
+        going_down = transition == "down"
+        if server.up != going_down:
+            return  # already in the target state
+        if going_down:
+            server.fail()
+            counter = failed
+            if spec.duration is not None:
+                self._push_timed(
+                    at_time + spec.duration,
+                    FaultSpec(f"{domain}_up", target=spec.target),
+                )
+        else:
+            server.recover()
+            counter = recovered
+        if counter is not None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        self._record(at_time, spec.kind, spec.target)
 
     def _record(self, at_time: float, kind: str, target: Optional[int]) -> None:
         self.trace.append((at_time, kind, target))
@@ -531,46 +493,44 @@ class FaultInjector:
 
     # -- imperative API (tests that steer failures mid-run) ----------------
 
+    def _apply_now(
+        self, kind: str, target: int, duration: Optional[float] = None
+    ) -> None:
+        self._apply(
+            self.cluster.engine.now,
+            FaultSpec(kind, target=int(target), duration=duration),
+        )
+
     def fail_ost_now(self, ost: int, duration: Optional[float] = None) -> None:
         """Take an OST down immediately (at the current simulated time)."""
-        now = self.cluster.engine.now
-        self._apply(
-            now, FaultSpec("ost_down", target=int(ost), duration=duration)
-        )
+        self._apply_now("ost_down", ost, duration)
 
     def recover_ost_now(self, ost: int) -> None:
         """Bring an OST back immediately."""
-        self._apply(self.cluster.engine.now, FaultSpec("ost_up", target=int(ost)))
+        self._apply_now("ost_up", ost)
 
     def fail_mds_now(
         self, shard: int, duration: Optional[float] = None
     ) -> None:
         """Take an MDS shard down immediately."""
-        self._apply(
-            self.cluster.engine.now,
-            FaultSpec("mds_down", target=int(shard), duration=duration),
-        )
+        self._apply_now("mds_down", shard, duration)
 
     def recover_mds_now(self, shard: int) -> None:
         """Bring an MDS shard back immediately."""
-        self._apply(
-            self.cluster.engine.now, FaultSpec("mds_up", target=int(shard))
-        )
+        self._apply_now("mds_up", shard)
+
+    def _down(self, domain: str) -> tuple[int, ...]:
+        if self.cluster is None:
+            return ()
+        servers = _SERVER_DOMAINS[domain][0](self.cluster)
+        return tuple(server.index for server in servers if not server.up)
 
     @property
     def down_mds(self) -> tuple[int, ...]:
         """Indices of MDS shards currently down (sorted)."""
-        if self.cluster is None:
-            return ()
-        return tuple(
-            shard.index for shard in self.cluster.mds.shards if not shard.up
-        )
+        return self._down("mds")
 
     @property
     def down_osts(self) -> tuple[int, ...]:
         """Indices of OSTs currently down (sorted)."""
-        if self.cluster is None:
-            return ()
-        return tuple(
-            ost.index for ost in self.cluster.osts if not ost.up
-        )
+        return self._down("ost")

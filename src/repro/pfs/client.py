@@ -40,6 +40,9 @@ from repro.pfs.lustre import LustreCluster, LustreFile
 from repro.pfs.mdcache import MetadataCache
 from repro.trace import runtime as _trace
 
+#: Failures the retry loop backs off from (anything else propagates).
+_RETRYABLE = (OstUnavailableError, MdsUnavailableError, RpcTimeoutError)
+
 
 class Rpc(NamedTuple):
     """One coalesced per-OST transfer."""
@@ -173,61 +176,34 @@ class LustreClient:
         to the root shard (format-model bookkeeping ops).
         """
         yield from self.scheduler.submit_lw(
-            "meta", 0, lambda: self._mds_service_lw(op, path),
+            "meta", 0, lambda: self._mds_call(op, path),
             priority=Priority.METADATA,
         )
         self.stats.mds_ops += 1
 
-    def _mds_service_lw(self, op: str, path: Optional[str]):
-        """MDS service with the retry/timeout/backoff degraded path.
+    def _mds_call(self, op: str, path: Optional[str]):
+        """The service generator of one MDS op on the shard owning ``path``.
 
-        The metadata twin of :meth:`_faulty_transfer_lw`: a down shard
-        costs the client its RPC timeout, then retries with exponential
-        backoff until the shard recovers or the budget is spent.  With no
-        injector installed this is a single delegation — the healthy fast
-        path stays one ``is None`` check.
+        With no injector installed it is the shard's own ``perform_lw``;
+        otherwise the op runs through :meth:`_retry_lw`.
         """
-        if self.cluster.fault_injector is None:
-            yield from self.cluster.mds.perform_lw(op, path)
-            return
-        injector = self.cluster.fault_injector
         shard = self.cluster.mds.shard_for(path if path is not None else "")
-        attempts = 0
-        while True:
-            try:
-                injector.advance(sim.now())
-                if not shard.up:
-                    # The request vanishes into a dead server: burn the
-                    # timeout (same contract as a dead OSS).
-                    yield self._rpc_timeout
-                    self.stats.rpc_timeouts += 1
-                    raise RpcTimeoutError(
-                        f"client{self.client_id}: {op} rpc to "
-                        f"mds{shard.index} timed out after "
-                        f"{self._rpc_timeout}s"
-                    )
-                yield from shard.perform_lw(op)
-                return
-            except (MdsUnavailableError, RpcTimeoutError) as exc:
-                attempts += 1
-                if attempts > self._max_retries:
-                    self.stats.rpc_failures += 1
-                    raise RetryExhaustedError(
-                        f"client{self.client_id}: {op} rpc to "
-                        f"mds{shard.index} failed after {attempts} "
-                        f"attempts: {exc}",
-                        attempts=attempts,
-                        last_error=exc,
-                    ) from exc
-                self.stats.rpc_retries += 1
-                tracer = _trace.TRACER
-                if tracer is not None:
-                    tracer.instant(
-                        "pfs", "mds_retry", client=self.client_id,
-                        shard=shard.index, attempt=attempts, op=op,
-                        error=type(exc).__name__,
-                    )
-                yield from self._backoff_lw(attempts)
+        injector = self.cluster.fault_injector
+        if injector is None:
+            return shard.perform_lw(op)
+        return self._retry_lw(
+            self._mds_attempt_lw, (injector, shard, op),
+            f"{op} rpc to mds{shard.index}", "mds_retry",
+            shard=shard.index, op=op,
+        )
+
+    @staticmethod
+    def _mds_attempt_lw(injector, shard, op: str):
+        injector.advance(sim.now())
+        if not shard.up:
+            return False
+        yield from shard.perform_lw(op)
+        return True
 
     # -- metadata-cache fast path (zero simulated cost on a hit) ----------
 
@@ -484,8 +460,7 @@ class LustreClient:
                 finally:
                     self._nic.release()
                 proc = engine.spawn_light(
-                    self._write_behind_lw,
-                    rpc,
+                    self._rpc_lw, rpc, True,
                     name=f"client{self.client_id}.wb",
                 )
                 self._outstanding.append(proc)
@@ -497,98 +472,112 @@ class LustreClient:
                         len(self._outstanding),
                     )
 
-    def _write_behind_lw(self, rpc: Rpc):
-        """One background write RPC (OSS pipe → OST disk), light process."""
+    def _rpc_lw(self, rpc: Rpc, is_write: bool):
+        """One OST RPC, run as its own light process.
+
+        A failure is recorded, not raised: raising out of a background
+        process would tear down the engine.  A write error surfaces at
+        fsync/close (like EIO reported from the page cache); a read error
+        re-raises in read() after every parallel RPC has settled.
+        """
         with _trace.probe(
-            "pfs", "write_rpc", "pfs.rpc.write", client=self.client_id,
-            ost=rpc.ost_index, nbytes=rpc.length,
+            "pfs", "write_rpc" if is_write else "read_rpc",
+            "pfs.rpc.write" if is_write else "pfs.rpc.read",
+            client=self.client_id, ost=rpc.ost_index, nbytes=rpc.length,
         ) as span:
             yield from self._jitter_delay_lw()
-            if self.cluster.fault_injector is None:
-                # Healthy fast path: identical to a cluster without the fault
-                # subsystem (one attribute check of overhead).
-                yield from self.cluster.oss_for_ost(
-                    rpc.ost_index
-                ).transfer_lw(rpc.length)
-                yield from self.cluster.osts[rpc.ost_index].serve_lw(
-                    self.client_id, rpc.object_id, rpc.object_offset,
-                    rpc.length, is_write=True,
-                )
+            injector = self.cluster.fault_injector
+            if injector is None:
+                for hop in self._HOPS[is_write]:
+                    yield from hop(self, rpc, is_write)
                 return
             try:
-                yield from self._faulty_transfer_lw(rpc, is_write=True)
+                yield from self._retry_lw(
+                    self._rpc_attempt_lw, (injector, rpc, is_write),
+                    f"rpc to ost{rpc.ost_index}", "rpc_retry",
+                    ost=rpc.ost_index,
+                )
             except StorageIOError as exc:
-                # Write-behind semantics: the failure surfaces at fsync/close
-                # (like EIO reported from the page cache), not here — raising
-                # out of a background process would tear down the engine.
-                self._write_errors.append(exc)
+                if is_write:
+                    self._write_errors.append(exc)
+                else:
+                    self._read_errors.append(exc)
                 span.set(failed=True)
 
-    # -- retry/timeout/backoff (the degraded path) ------------------------
+    def _pipe_hop(self, rpc: Rpc, is_write: bool):
+        return self.cluster.oss_for_ost(rpc.ost_index).transfer_lw(rpc.length)
 
-    def _faulty_transfer_lw(self, rpc: Rpc, is_write: bool):
-        """One RPC with retry, timeout, and exponential backoff + jitter.
+    def _disk_hop(self, rpc: Rpc, is_write: bool):
+        return self.cluster.osts[rpc.ost_index].serve_lw(
+            self.client_id, rpc.object_id, rpc.object_offset, rpc.length,
+            is_write=is_write,
+        )
 
-        Transient faults (:class:`OstUnavailableError`,
-        :class:`RpcTimeoutError`) are retried up to the configured budget
-        with exponentially growing, jittered backoff; exhaustion raises
-        :class:`RetryExhaustedError` carrying the last underlying error.
-        """
-        injector = self.cluster.fault_injector
-        attempts = 0
-        while True:
-            try:
-                yield from self._attempt_transfer_lw(injector, rpc, is_write)
-                return
-            except (OstUnavailableError, RpcTimeoutError) as exc:
-                attempts += 1
-                if attempts > self._max_retries:
-                    self.stats.rpc_failures += 1
-                    raise RetryExhaustedError(
-                        f"client{self.client_id}: rpc to ost{rpc.ost_index} "
-                        f"failed after {attempts} attempts: {exc}",
-                        attempts=attempts,
-                        last_error=exc,
-                    ) from exc
-                self.stats.rpc_retries += 1
-                tracer = _trace.TRACER
-                if tracer is not None:
-                    tracer.instant(
-                        "pfs", "rpc_retry", client=self.client_id,
-                        ost=rpc.ost_index, attempt=attempts,
-                        error=type(exc).__name__,
-                    )
-                yield from self._backoff_lw(attempts)
+    #: The hops of one RPC in flow order, keyed by ``is_write``: OSS pipe
+    #: → OST disk for a write, OST disk → OSS pipe for a read.  Each hop
+    #: builds its generator only when its turn comes, so an RPC in flight
+    #: holds one server generator, not two.
+    _HOPS = {True: (_pipe_hop, _disk_hop), False: (_disk_hop, _pipe_hop)}
 
-    def _attempt_transfer_lw(self, injector, rpc: Rpc, is_write: bool):
+    def _rpc_attempt_lw(self, injector, rpc: Rpc, is_write: bool):
         drop, extra = injector.before_rpc(
             sim.now(), rpc.ost_index, self.client_id, is_write
         )
         if extra > 0.0:
             yield extra
-        oss = self.cluster.oss_for_ost(rpc.ost_index)
-        if drop or not oss.up:
-            # The request (or its reply) vanished: wait out the timeout.
-            yield self._rpc_timeout
-            self.stats.rpc_timeouts += 1
-            raise RpcTimeoutError(
-                f"client{self.client_id}: rpc to ost{rpc.ost_index} "
-                f"timed out after {self._rpc_timeout}s",
-                ost_index=rpc.ost_index,
-            )
-        ost = self.cluster.osts[rpc.ost_index]
-        if is_write:
-            yield from oss.transfer_lw(rpc.length)
-            yield from ost.serve_lw(
-                self.client_id, rpc.object_id, rpc.object_offset, rpc.length,
-                is_write=True,
-            )
-        else:
-            yield from ost.serve_lw(
-                self.client_id, rpc.object_id, rpc.object_offset, rpc.length,
-                is_write=False,
-            )
-            yield from oss.transfer_lw(rpc.length)
+        if drop or not self.cluster.oss_for_ost(rpc.ost_index).up:
+            return False
+        for hop in self._HOPS[is_write]:
+            yield from hop(self, rpc, is_write)
+        return True
+
+    # -- retry/timeout/backoff (the degraded path) ------------------------
+
+    def _retry_lw(
+        self, attempt, args: tuple, what: str, instant: str, **where
+    ):
+        """Run ``attempt(*args)`` until it gets through or the budget is spent.
+
+        The one degraded path for OST RPCs and MDS ops.  Each attempt
+        makes one try and returns ``False`` when the request vanished (a
+        dropped RPC, a down OSS or MDS shard): the client burns its
+        ``rpc_timeout`` and counts an :class:`RpcTimeoutError`.  A down
+        OST instead rejects at once with :class:`OstUnavailableError`.
+        Each failure backs off exponentially with seeded jitter; past
+        ``rpc_max_retries``, :class:`RetryExhaustedError` escalates with
+        the last cause chained.
+        """
+        attempts = 0
+        while True:
+            try:
+                if (yield from attempt(*args)):
+                    return
+            except _RETRYABLE as exc:
+                error = exc
+            else:
+                yield self._rpc_timeout
+                self.stats.rpc_timeouts += 1
+                error = RpcTimeoutError(
+                    f"client{self.client_id}: {what} timed out after "
+                    f"{self._rpc_timeout}s",
+                    ost_index=where.get("ost"),
+                )
+            attempts += 1
+            if attempts > self._max_retries:
+                self.stats.rpc_failures += 1
+                raise RetryExhaustedError(
+                    f"client{self.client_id}: {what} failed after "
+                    f"{attempts} attempts: {error}",
+                    attempts=attempts, last_error=error,
+                ) from error
+            self.stats.rpc_retries += 1
+            tracer = _trace.TRACER
+            if tracer is not None:
+                tracer.instant(
+                    "pfs", instant, client=self.client_id, **where,
+                    attempt=attempts, error=type(error).__name__,
+                )
+            yield from self._backoff_lw(attempts)
 
     def _backoff_lw(self, attempts: int):
         delay = min(
@@ -650,7 +639,7 @@ class LustreClient:
         # OST + OSS stages proceed in parallel across targets…
         procs = [
             engine.spawn_light(
-                self._read_remote_lw, rpc, name=f"client{self.client_id}.rd"
+                self._rpc_lw, rpc, False, name=f"client{self.client_id}.rd"
             )
             for rpc in rpcs
         ]
@@ -669,29 +658,6 @@ class LustreClient:
         self.stats.read_rpcs += len(rpcs)
         self.stats.bytes_read += nbytes
         return file.load(offset, nbytes)
-
-    def _read_remote_lw(self, rpc: Rpc):
-        with _trace.probe(
-            "pfs", "read_rpc", "pfs.rpc.read", client=self.client_id,
-            ost=rpc.ost_index, nbytes=rpc.length,
-        ) as span:
-            yield from self._jitter_delay_lw()
-            if self.cluster.fault_injector is None:
-                yield from self.cluster.osts[rpc.ost_index].serve_lw(
-                    self.client_id, rpc.object_id, rpc.object_offset,
-                    rpc.length, is_write=False,
-                )
-                yield from self.cluster.oss_for_ost(
-                    rpc.ost_index
-                ).transfer_lw(rpc.length)
-                return
-            try:
-                yield from self._faulty_transfer_lw(rpc, is_write=False)
-            except StorageIOError as exc:
-                # Reads are synchronous: the error re-raises in read() after
-                # every parallel RPC has settled.
-                self._read_errors.append(exc)
-                span.set(failed=True)
 
     def _jitter_delay_lw(self):
         """Fabric/scheduling variance, order-preserving per client.

@@ -36,6 +36,7 @@ from typing import Optional
 
 from repro import sim
 from repro.errors import MdsUnavailableError
+from repro.pfs.domain import FailureDomain
 from repro.trace import runtime as _trace
 from repro.util.crc import crc32c
 
@@ -73,7 +74,7 @@ def _parent_dir(path: str) -> str:
     return path[:index] if index > 0 else ""
 
 
-class Mds:
+class Mds(FailureDomain):
     """A single metadata server with one FCFS service unit."""
 
     def __init__(
@@ -94,27 +95,12 @@ class Mds:
             }
         self._service = sim.Resource(engine, capacity=1, name=f"mds{index}")
         self.stats = MdsStats()
-        #: failure-domain state, flipped by a FaultInjector; the healthy
-        #: path pays one attribute check per request.
+        #: a down shard eats requests (the client burns its timeout); the
+        #: namespace survives on the MDT
         self.up = True
         #: the slice of the namespace this shard owns: directory path →
         #: entry-name set, for every directory hashed to this server
         self._dirs: dict[str, set[str]] = {}
-
-    # -- failure domain (driven by repro.fault) ---------------------------
-
-    def fail(self) -> None:
-        """Take this MDS down: every request is rejected until recovery.
-
-        The namespace survives (it lives on the MDT's storage); only
-        service stops, exactly like a crashed OST.
-        """
-        self.up = False
-        self.stats.failures += 1
-
-    def recover(self) -> None:
-        """Bring the MDS back; queued clients resume via their retry path."""
-        self.up = True
 
     # -- service -----------------------------------------------------------
 

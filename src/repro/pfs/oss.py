@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import sim
+from repro.errors import RpcTimeoutError
+from repro.pfs.domain import FailureDomain
 from repro.trace import runtime as _trace
 from repro.util.humanize import parse_size
 
@@ -28,7 +30,7 @@ class OssStats:
     failures: int = 0
 
 
-class Oss:
+class Oss(FailureDomain):
     """One object storage server fronting a group of OSTs."""
 
     def __init__(
@@ -44,21 +46,9 @@ class Oss:
         self.rpc_overhead = rpc_overhead
         self._pipe = sim.Resource(engine, capacity=1, name=f"oss{index}")
         self.stats = OssStats()
-        #: failure-domain state, flipped by a FaultInjector.  An OSS that
-        #: is down silently eats RPCs: the client burns its timeout and
-        #: sees :class:`~repro.errors.RpcTimeoutError` (the check lives in
-        #: :meth:`LustreClient._faulty_transfer` so the timeout is charged
-        #: at the caller).
-        self.up = True
-
-    # -- failure domain (driven by repro.fault) ---------------------------
-
-    def fail(self) -> None:
-        """Take this server down: requests to its OSTs time out."""
-        self.up = False
-        self.stats.failures += 1
-
-    def recover(self) -> None:
+        #: a down OSS silently eats RPCs to the OSTs it fronts: the client
+        #: checks this flag before transferring and burns its timeout there
+        #: (``LustreClient._rpc_attempt_lw``)
         self.up = True
 
     def transfer_lw(self, nbytes: int):
@@ -67,8 +57,6 @@ class Oss:
             # Unreached in practice (clients check before transferring),
             # but guard the pipe for direct callers.
             self.stats.rejected_requests += 1
-            from repro.errors import RpcTimeoutError
-
             raise RpcTimeoutError(f"oss{self.index} unreachable")
         tracer = _trace.TRACER
         if tracer is not None:

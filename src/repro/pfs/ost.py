@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro import sim
 from repro.errors import OstUnavailableError
 from repro.pfs.disk import DiskProfile, HeadPosition
+from repro.pfs.domain import FailureDomain
 from repro.trace import runtime as _trace
 
 
@@ -39,7 +40,7 @@ class OstStats:
     failures: int = 0
 
 
-class Ost:
+class Ost(FailureDomain):
     """One object storage target."""
 
     def __init__(
@@ -57,22 +58,13 @@ class Ost:
         self._head: HeadPosition = None
         self._lock_holder: dict[int, int] = {}  # object id -> last writer
         self.stats = OstStats()
-        #: failure-domain state, flipped by a FaultInjector; the healthy
-        #: path pays one attribute check per request.
-        self.up = True
+        self.up = True  # a down OST rejects every request at once
         self._healthy_disk = disk
-
-    # -- failure domain (driven by repro.fault) ---------------------------
-
-    def fail(self) -> None:
-        """Take this OST down: every request is rejected until recovery."""
-        self.up = False
-        self.stats.failures += 1
 
     def recover(self) -> None:
         """Bring the OST back.  The array's head position is lost (the
         target rebooted), so the next request repositions."""
-        self.up = True
+        super().recover()
         self._head = None
 
     def degrade_disk(self, factor: "float | None") -> None:

@@ -1,16 +1,14 @@
-"""MDS shard failure domains: retry-through, exhaustion, mid-campaign outage.
+"""MDS shard failure domains: retry-through and mid-campaign outage.
 
 The metadata twin of the OST failure suite — a down shard costs clients
 their RPC timeout plus backoff, recovery lets the retry path finish the
-op, and a shard outage in the middle of a multi-client serving-style
+op (exhaustion is covered with the OST domain in test_schedule.py), and
+a shard outage in the middle of a multi-client serving-style
 campaign must degrade (retries) without corrupting the namespace or the
 determinism contract.
 """
 
-import pytest
-
 from repro import sim
-from repro.errors import RetryExhaustedError
 from repro.fault import FaultInjector, FaultSchedule
 from repro.pfs import LustreClient, LustreCluster
 from repro.pfs.configs import small_test_cluster
@@ -64,21 +62,6 @@ class TestMdsFailures:
         assert injector.stats.mds_recovered == 1
         assert injector.trace[0][1] == "mds_down"
         assert injector.down_mds == ()
-
-    def test_permanent_mds_failure_exhausts_the_budget(self):
-        schedule = FaultSchedule().fail_mds(0, at_time=0.0)  # never heals
-
-        def main(client):
-            with pytest.raises(RetryExhaustedError) as exc:
-                client.create("f")
-            return exc.value.attempts
-
-        attempts, cluster, injector, _ = run_faulty(
-            fast_retry_cluster(rpc_max_retries=3), schedule, main
-        )
-        assert attempts == 4  # initial try + 3 retries
-        assert cluster.clients[0].stats.rpc_failures == 1
-        assert injector.down_mds == (0,)
 
     def test_rejected_requests_counted_on_the_shard(self):
         """The unavailability path that bypasses the timeout: an op

@@ -1,7 +1,8 @@
 """Unit tests for the fault-injection subsystem.
 
 Covers the schedule builders and validation, timed/count-triggered OST
-and OSS failures, RPC drop/delay faults, client retry/backoff accounting,
+and OSS failures, retry exhaustion in the OST and MDS domains, RPC
+drop/delay faults, client retry/backoff accounting,
 the imperative steering API, and the determinism contract (identical
 (schedule, workload) pairs produce bit-identical traces).
 """
@@ -13,6 +14,7 @@ from repro.errors import (
     InvalidArgumentError,
     OstUnavailableError,
     RetryExhaustedError,
+    RpcTimeoutError,
 )
 from repro.fault import FaultInjector, FaultSchedule
 from repro.pfs import LustreClient, LustreCluster
@@ -111,25 +113,6 @@ class TestOstFailures:
         assert injector.stats.osts_recovered == 1
         assert cluster.osts[0].up
 
-    def test_permanent_ost_failure_exhausts_retries(self):
-        schedule = FaultSchedule().fail_ost(0, after_requests=1)
-        config = fast_retry_cluster(rpc_max_retries=2)
-
-        def main(client):
-            file = client.create("data", stripe_count=1)
-            client.write(file, 0, b"x" * 4096)
-            with pytest.raises(RetryExhaustedError) as excinfo:
-                client.fsync(file)
-            return excinfo.value
-
-        error, cluster, injector, _ = run_faulty(config, schedule, main)
-        assert error.attempts == 3  # 1 try + 2 retries
-        assert isinstance(error.last_error, OstUnavailableError)
-        assert error.last_error.ost_index == 0
-        assert cluster.clients[0].stats.rpc_failures == 1
-        assert injector.down_osts == (0,)
-        assert cluster.osts[0].stats.rejected_requests > 0
-
     def test_after_requests_lets_earlier_requests_through(self):
         """A count-triggered failure serves N-1 requests first."""
         schedule = FaultSchedule().fail_ost(0, after_requests=3)
@@ -172,6 +155,43 @@ class TestOstFailures:
         assert ok
         # the disk profile is back to the healthy object
         assert cluster.osts[0].disk is cluster.osts[0]._healthy_disk
+
+
+@pytest.mark.parametrize("domain", ["ost", "mds"])
+def test_permanent_failure_exhausts_retries(domain):
+    """A server that never comes back spends the whole budget in either
+    failure domain: a down OST rejects each try, a down MDS shard times
+    each one out, and the op fails once after 1 try + every retry."""
+    retries = 2 if domain == "ost" else 3
+    if domain == "ost":
+        schedule = FaultSchedule().fail_ost(0, after_requests=1)
+    else:
+        schedule = FaultSchedule().fail_mds(0, at_time=0.0)  # never heals
+
+    def main(client):
+        if domain == "mds":
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                client.create("f")
+            return excinfo.value
+        file = client.create("data", stripe_count=1)
+        client.write(file, 0, b"x" * 4096)
+        with pytest.raises(RetryExhaustedError) as excinfo:
+            client.fsync(file)
+        return excinfo.value
+
+    error, cluster, injector, _ = run_faulty(
+        fast_retry_cluster(rpc_max_retries=retries), schedule, main
+    )
+    assert error.attempts == retries + 1
+    assert cluster.clients[0].stats.rpc_failures == 1
+    if domain == "ost":
+        assert isinstance(error.last_error, OstUnavailableError)
+        assert error.last_error.ost_index == 0
+        assert injector.down_osts == (0,)
+        assert cluster.osts[0].stats.rejected_requests > 0
+    else:
+        assert isinstance(error.last_error, RpcTimeoutError)
+        assert injector.down_mds == (0,)
 
 
 class TestOssAndRpcFaults:
