@@ -23,6 +23,7 @@ partitioned result is byte-identical to the serial one: parallelism moves
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -286,19 +287,49 @@ class CompactionStats:
         return dict(self.__dict__)
 
 
-class PipelinedTableFile:
-    """Write-behind wrapper overlapping merge CPU with simulated I/O.
+#: queue bound of the real-Env flush pipeline (``DB._flush_job``)
+FLUSH_PIPELINE_BYTES = 8 << 20
 
-    The merge loop (block building, checksumming, modeled CPU charges)
-    runs on the producer process; appends are handed to a companion sim
-    process that performs the actual writes, bounded by ``limit``
-    buffered bytes of backpressure.  Single producer; order-preserving —
-    the byte stream reaching the underlying file is exactly the append
-    sequence, so pipelining moves *when* bytes land, never *what* bytes.
-    ``sync``/``close`` quiesce the queue first, keeping durability points
-    unchanged.  With no engine (or ``limit`` 0) every call passes through
-    inline.  A writer-side failure is re-raised on the producer at its
-    next call, like any inline append failure.
+#: a writer thread starts once a file has buffered this much (smaller
+#: files are written inline, in one write at ``sync``), then takes its
+#: work in batches of this size
+_BATCH_BYTES = 1 << 20
+
+#: the writer thread syncs every this many bytes (RocksDB's
+#: ``bytes_per_sync``), so the closing fsync covers only the tail
+_WRITEBACK_BYTES = 8 << 20
+
+
+class PipelinedTableFile:
+    """Write-behind wrapper overlapping table build with its I/O.
+
+    The producer (block building, checksumming, modeled CPU charges)
+    hands appends to a writer that performs the actual writes, bounded
+    by ``limit`` buffered bytes of backpressure.  Single producer;
+    order-preserving — the byte stream reaching the underlying file is
+    exactly the append sequence, so pipelining moves *when* bytes land,
+    never *what* bytes.  ``sync``/``close`` quiesce the queue first,
+    keeping durability points unchanged.  A writer-side failure is
+    re-raised on the producer at its next call, like any inline append
+    failure, and by every later call except ``close``, which raises it
+    only if no call has yet.  ``close`` always retires the writer and
+    closes ``dest``.
+
+    The writer depends on where the producer runs:
+
+    - under a sim ``engine`` it is a companion sim process, so merge CPU
+      overlaps simulated I/O;
+    - with no engine it is a real thread, started lazily once a batch
+      of ``_BATCH_BYTES`` is buffered (a smaller file is written inline
+      at its first ``flush``/``sync``/``close``).  It takes whole
+      batches and syncs ``dest`` every ``_WRITEBACK_BYTES``; ``writev``
+      and ``fsync`` release the GIL, so the I/O overlaps the producer's
+      Python;
+    - with ``limit`` 0 every call passes straight through.
+
+    Queued chunks are held by reference and reach ``dest`` through
+    ``append_owned``; a non-owned chunk that is not ``bytes`` is copied
+    first, because callers reuse scratch buffers.
     """
 
     def __init__(
@@ -310,18 +341,25 @@ class PipelinedTableFile:
         stats: Optional[CompactionStats] = None,
     ) -> None:
         self._dest = dest
-        self._engine = engine if (engine is not None and limit > 0) else None
+        self._engine = engine if limit > 0 else None
+        self._inline = limit <= 0
         self._limit = int(limit)
+        self._batch = min(_BATCH_BYTES, self._limit)
         self._cpu_charge = cpu_charge
         self._stats = stats
         self._chunks: deque = deque()
         self._buffered = 0        # queued + in-flight bytes
-        self._writer = None
+        self._queued = 0          # bytes in _chunks (thread writer)
+        self._busy = False        # thread writer holds a batch
+        self._draining = False    # producer waits for the thread writer
+        self._writer = None       # sim process or thread, once started
         self._data_gate = None    # writer parked waiting for data
         self._space_gate = None   # producer parked on backpressure
         self._idle_gate = None    # producer parked in quiesce
+        self._cond = threading.Condition()  # thread writer only
         self._closing = False
-        self._error: Optional[BaseException] = None
+        self._error: Optional[BaseException] = None   # sticky
+        self._reported = False    # _error has reached the producer
 
     # -- producer side ---------------------------------------------------
 
@@ -332,22 +370,31 @@ class PipelinedTableFile:
         self._push(data, owned=True)
 
     def _push(self, data, owned: bool) -> None:
-        self._check_error()
+        if self._error is not None:
+            self._check_error()
         if self._cpu_charge is not None:
             # Block build + CRC cost, charged on the producer so it
             # overlaps the writer process's in-flight I/O.
             self._cpu_charge(len(data), "compaction-block")
-        if self._engine is None:
+        if self._inline:
             if owned:
                 self._dest.append_owned(data)
             else:
                 self._dest.append(data)
             return
-        self._chunks.append((data, owned))
-        self._buffered += len(data)
+        if not owned and type(data) is not bytes:
+            data = bytes(data)
         if self._stats is not None:
             self._stats.pipelined_chunks += 1
             self._stats.pipelined_bytes += len(data)
+        if self._engine is None:
+            self._push_thread(data)
+        else:
+            self._push_sim(data)
+
+    def _push_sim(self, data) -> None:
+        self._chunks.append(data)
+        self._buffered += len(data)
         if self._writer is None:
             self._writer = self._engine.spawn(
                 self._drain, name="compaction-pipe", daemon=True
@@ -365,51 +412,160 @@ class PipelinedTableFile:
                 self._stats.pipeline_stall_time += sim.now() - start
         self._check_error()
 
+    def _push_thread(self, data) -> None:
+        if self._writer is None and self._buffered + len(data) < self._batch:
+            # No writer yet, so no other thread touches the queue.
+            self._chunks.append(data)
+            self._buffered += len(data)
+            self._queued += len(data)
+            return
+        cond = self._cond
+        with cond:
+            self._chunks.append(data)
+            self._buffered += len(data)
+            self._queued += len(data)
+            if self._writer is None:
+                self._writer = threading.Thread(
+                    target=self._drain_thread, name="lsm-table-writer",
+                    daemon=True,
+                )
+                self._writer.start()
+            elif self._queued - len(data) < self._batch <= self._queued:
+                cond.notify_all()  # a batch is ready for the parked writer
+            while self._buffered > self._limit and self._error is None:
+                cond.wait()
+        self._check_error()
+
     def flush(self) -> None:
         self._quiesce()
+        self._check_error()
         self._dest.flush()
 
     def sync(self) -> None:
         self._quiesce()
+        self._check_error()
         self._dest.sync()
 
     def close(self) -> None:
+        """Quiesce, then always retire the writer and close ``dest``.
+
+        A writer error no call has raised yet is raised after ``dest`` is
+        closed.
+        """
         self._closing = True
-        self._quiesce()
-        if self._data_gate is not None:
-            # Release the parked writer so it observes _closing and exits.
-            gate, self._data_gate = self._data_gate, None
-            gate.succeed()
-        self._dest.close()
+        try:
+            self._quiesce()
+            if not self._reported:
+                self._check_error()
+        finally:
+            try:
+                self._stop_writer()
+            finally:
+                self._dest.close()
 
     def _quiesce(self) -> None:
-        if self._engine is None:
+        if self._inline:
             return
-        from repro import sim
+        if self._engine is not None:
+            from repro import sim
 
-        while self._buffered > 0 and self._error is None:
-            self._idle_gate = sim.Event(self._engine, name="pipe-idle")
-            sim.wait(self._idle_gate)
-        self._check_error()
+            while self._buffered > 0 and self._error is None:
+                self._idle_gate = sim.Event(self._engine, name="pipe-idle")
+                sim.wait(self._idle_gate)
+        elif self._writer is None:
+            # Never started: a small file, written inline in one go.
+            chunks, self._chunks = self._chunks, deque()
+            self._buffered = 0
+            for data in chunks:
+                self._dest.append_owned(data)
+        else:
+            with self._cond:
+                # Let the writer take a short tail, then wait until it is idle.
+                self._draining = True
+                self._cond.notify_all()
+                while (self._chunks or self._busy) and self._error is None:
+                    self._cond.wait()
+                self._draining = False
+
+    def _stop_writer(self) -> None:
+        if self._engine is not None:
+            if self._data_gate is not None:
+                # Release the parked writer so it observes _closing and exits.
+                gate, self._data_gate = self._data_gate, None
+                gate.succeed()
+        elif self._writer is not None:
+            with self._cond:
+                self._cond.notify_all()  # the writer sees _closing and exits
+            self._writer.join()
 
     def _check_error(self) -> None:
         if self._error is not None:
-            error, self._error = self._error, None
-            raise error
+            self._reported = True
+            raise self._error
 
-    # -- companion writer process ----------------------------------------
+    # -- writer thread (no engine) ---------------------------------------
+
+    def _drain_thread(self) -> None:
+        cond, dest = self._cond, self._dest
+        total = 0                       # bytes handed to dest so far
+        next_sync = _WRITEBACK_BYTES    # write back at every multiple
+        while True:
+            with cond:
+                while not (
+                    self._queued >= self._batch
+                    or self._closing
+                    or (self._draining and self._chunks)
+                ):
+                    cond.wait()
+                if not self._chunks:
+                    return  # closing
+                batch, self._chunks = self._chunks, deque()
+                self._queued = 0
+                self._busy = True
+            done = 0                    # bytes of this batch not yet released
+            try:
+                for data in batch:
+                    dest.append_owned(data)
+                    done += len(data)
+                    total += len(data)
+                    if total >= next_sync:
+                        # Sync points depend only on the append sequence,
+                        # never on how the queue happened to be batched.
+                        self._release(done)
+                        done = 0
+                        dest.sync()
+                        while next_sync <= total:
+                            next_sync += _WRITEBACK_BYTES
+                    elif done >= self._batch:
+                        self._release(done)
+                        done = 0
+                self._release(done)
+            except BaseException as exc:  # re-raised on the producer
+                with cond:
+                    self._error = exc
+                    self._busy = False
+                    cond.notify_all()
+                return
+            with cond:
+                self._busy = False
+                cond.notify_all()
+
+    def _release(self, nbytes: int) -> None:
+        """Free ``nbytes`` of queue space for the producer."""
+        with self._cond:
+            self._buffered -= nbytes
+            self._cond.notify_all()
+
+    # -- companion writer process (sim engine) ---------------------------
 
     def _drain(self) -> None:
         from repro import sim
 
         while True:
             while self._chunks:
-                data, owned = self._chunks.popleft()
+                data = self._chunks.popleft()
                 try:
-                    if owned:
-                        self._dest.append_owned(data)
-                    else:
-                        self._dest.append(data)
+                    self._dest.append_owned(data)
                 except BaseException as exc:
                     self._error = exc
                     self._chunks.clear()

@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.lsm.batch import WriteBatch
 from repro.lsm.cache import LRUCache
 from repro.lsm.compaction import (
+    FLUSH_PIPELINE_BYTES,
     CompactionExecutor,
     CompactionPlan,
     CompactionStats,
@@ -685,12 +686,19 @@ class DB:
         ) as span:
             path = self._env.join(self._dbname, table_file_name(file_number))
             dest = self._env.new_writable_file(path)
-            builder = TableBuilder(self._options, dest)
-            for ikey, value in frozen.entries():
-                builder.add(ikey, value)
-            size = builder.finish()
-            dest.sync()
-            dest.close()
+            if self._sim_engine() is None:
+                # On a real Env the table's writes and write-back run on
+                # a writer thread behind the build; under the simulator
+                # they stay inline, so simulated schedules do not move.
+                dest = PipelinedTableFile(dest, limit=FLUSH_PIPELINE_BYTES)
+            try:
+                builder = TableBuilder(self._options, dest)
+                for ikey, value in frozen.entries():
+                    builder.add(ikey, value)
+                size = builder.finish()
+                dest.sync()
+            finally:
+                dest.close()
             span.set(nbytes=size)
             meta = FileMetaData(
                 number=file_number,
@@ -802,9 +810,11 @@ class DB:
             builder = TableBuilder(self._options, dest)
 
             def finalize(b: TableBuilder) -> int:
-                size = b.finish()
-                dest.sync()
-                dest.close()
+                try:
+                    size = b.finish()
+                    dest.sync()
+                finally:
+                    dest.close()
                 return size
 
             return number, builder, finalize
@@ -827,9 +837,11 @@ class DB:
             builder = TableBuilder(self._options, dest)
 
             def finalize(b: TableBuilder) -> int:
-                size = b.finish()
-                dest.sync()
-                dest.close()
+                try:
+                    size = b.finish()
+                    dest.sync()
+                finally:
+                    dest.close()
                 return size
 
             return temp, builder, finalize

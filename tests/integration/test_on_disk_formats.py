@@ -6,15 +6,26 @@ implementation swap must not change one byte of a WAL, an SSTable or a
 drain journal.  The inputs are sized so both kernel paths run: the WAL
 payload and the SSTable data block exceed ``repro.util.crc._SMALL``, the
 record headers, index blocks and journal frame stay below it.
+
+The last two tests take the real flush path on ``LocalFsEnv``, where a
+table's writes and write-back run on a writer thread behind the build: its
+SSTable must be byte-identical to the inline ``MemEnv`` flush, and a crash
+right after a synced barrier must keep every acknowledged key.
 """
 
 import hashlib
+import os
+import random
 
 from repro import sim
 from repro.bb import BurstBufferConfig, BurstBufferDevice, DrainJournal
 from repro.bb.journal import JOURNAL_BLOB
 from repro.lsm.dbformat import ValueType, encode_internal_key
-from repro.lsm.env import MemEnv
+from repro.core import LsmioManager, LsmioOptions
+from repro.fault import FaultyEnv
+from repro.lsm import DB
+from repro.lsm.env import LocalFsEnv, MemEnv
+from repro.lsm.executors import SyncExecutor, ThreadExecutor
 from repro.lsm.options import ChecksumType, Options
 from repro.lsm.sstable import TableBuilder
 from repro.lsm.wal import LogWriter
@@ -63,3 +74,76 @@ def test_drain_journal_record():
         "1b0000003e2a221b010d64622f3030303030372e737374"
         "0000100000000000cdab3412"
     )
+
+
+#: 12 MiB of 64 KiB values: one table large enough for the flush's writer
+#: thread to start and for write-back (every 8 MiB) to fire
+FLUSH_VALUES = [random.Random(i).randbytes(64 << 10) for i in range(192)]
+
+
+class _SyncCountingEnv(LocalFsEnv):
+    def __init__(self):
+        super().__init__()
+        self.syncs = 0
+
+    def new_writable_file(self, path):
+        env, base = self, super().new_writable_file(path)
+        sync = base.sync
+
+        def counted_sync():
+            env.syncs += 1
+            sync()
+
+        base.sync = counted_sync
+        return base
+
+
+def _flush_one_table(path, env, executor):
+    db = DB.open(path, options=_flush_options(), env=env, executor=executor)
+    for i, value in enumerate(FLUSH_VALUES):
+        db.put(f"ckpt/var{i:08d}".encode(), value)
+    db.flush()
+    db.close()
+    tables = [name for name in env.get_children(path) if name.endswith(".sst")]
+    assert len(tables) == 1
+    return hashlib.sha256(read_all(env, env.join(path, tables[0]))).hexdigest()
+
+
+def _flush_options():
+    return Options(write_buffer_size=64 << 20, enable_wal=False)
+
+
+def test_threaded_flush_writes_the_inline_bytes(tmp_path):
+    inline = _flush_one_table("db", MemEnv(), SyncExecutor())
+    env = _SyncCountingEnv()
+    executor = ThreadExecutor()
+    try:
+        threaded = _flush_one_table(str(tmp_path / "db"), env, executor)
+    finally:
+        executor.close()
+    assert threaded == inline
+    # MANIFEST writes sync too; the table adds its write-back syncs.
+    baseline = _SyncCountingEnv()
+    small = str(tmp_path / "small")
+    db = DB.open(small, options=_flush_options(), env=baseline)
+    db.put(b"k", b"v")
+    db.flush()
+    db.close()
+    assert env.syncs >= baseline.syncs + (12 << 20) // (8 << 20)
+
+
+def test_crash_after_synced_barrier_keeps_acknowledged_keys(tmp_path):
+    path = str(tmp_path / "db")
+    env = FaultyEnv(LocalFsEnv(), seed=7)
+    manager = LsmioManager(path, LsmioOptions(), env=env)
+    for i, value in enumerate(FLUSH_VALUES):
+        manager.put(f"ckpt/var{i:08d}", value)
+    manager.write_barrier(sync=True)
+    env.crash()  # the manager is abandoned, never closed
+    os.remove(os.path.join(path, "LOCK"))
+    survivor = LsmioManager(path, LsmioOptions(), env=env)
+    try:
+        for i, value in enumerate(FLUSH_VALUES):
+            assert survivor.get(f"ckpt/var{i:08d}") == value
+    finally:
+        survivor.close()

@@ -7,11 +7,20 @@ SSTables and manifest state** to the serial merge — parallelism moves
 *when* bytes are produced, never *what* bytes.
 """
 
+import os
+import random
+import sys
+import tempfile
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import sim
 from repro.lsm import DB, Options
 from repro.lsm.compaction import (
+    FLUSH_PIPELINE_BYTES,
     CompactionExecutor,
     CompactionTask,
     PipelinedTableFile,
@@ -20,7 +29,7 @@ from repro.lsm.compaction import (
     plan_compaction,
 )
 from repro.lsm.dbformat import ValueType, encode_internal_key
-from repro.lsm.env import MemEnv
+from repro.lsm.env import LocalFsEnv, MemEnv
 from repro.lsm.manifest import FileMetaData, Version, VersionEdit
 from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
 from repro.pfs.configs import small_test_cluster
@@ -352,6 +361,15 @@ class TestPipelinedTableFile:
                     for i in range(10):
                         pipe.append(bytes([i]) * 1024)
                     pipe.close()
+                # The error is still queued when close() runs: it is
+                # raised there, and dest is closed all the same.
+                dest = self.SlowDest(fail_at=2)
+                pipe = PipelinedTableFile(dest, engine=engine, limit=1 << 20)
+                for i in range(3):
+                    pipe.append(bytes([i]) * 1024)
+                with pytest.raises(IOError):
+                    pipe.close()
+                assert dest.closed
 
             proc = engine.spawn(main)
             engine.run()
@@ -365,6 +383,169 @@ class TestPipelinedTableFile:
         pipe.append_owned(bytearray(b"def"))
         pipe.close()
         assert bytes(dest.data) == b"abcdef"
+
+
+_CHUNK_SIZES = st.one_of(
+    st.integers(0, 64), st.integers(0, 64 << 10), st.integers(512 << 10, 3 << 20)
+)
+_PIPE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["append", "append_owned"]),
+            _CHUNK_SIZES,
+            st.sampled_from([bytes, bytearray, memoryview]),
+        ),
+        st.sampled_from([("flush",), ("sync",)]),
+    ),
+    max_size=14,
+)
+
+
+class TestPipelinedTableFileThread:
+    """The writer thread used when no sim engine is present."""
+
+    class MemDest:
+        def __init__(self, fail_at=None):
+            self.data = bytearray()
+            self.appends = 0
+            self.syncs = 0
+            self.closed = False
+            self._fail_at = fail_at
+
+        def append(self, data):
+            self.appends += 1
+            if self.appends == self._fail_at:
+                raise IOError("device gone")
+            self.data += data
+
+        def append_owned(self, data):
+            self.append(data)
+
+        def flush(self):
+            pass
+
+        def sync(self):
+            self.syncs += 1
+
+        def close(self):
+            self.closed = True
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=_PIPE_OPS,
+        limit=st.sampled_from([0, 64 << 10, 1 << 20, FLUSH_PIPELINE_BYTES]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_plain_concatenation(self, ops, limit, seed):
+        rng = random.Random(seed)
+        expect = bytearray()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.sst")
+            pipe = PipelinedTableFile(
+                LocalFsEnv().new_writable_file(path), limit=limit
+            )
+            for op in ops:
+                if op[0] in ("flush", "sync"):
+                    getattr(pipe, op[0])()
+                    continue
+                name, size, kind = op
+                payload = rng.randbytes(size)
+                scratch = bytearray(payload)
+                chunk = {
+                    bytes: payload, bytearray: scratch,
+                    memoryview: memoryview(scratch),
+                }[kind]
+                getattr(pipe, name)(chunk)
+                expect += payload
+                if name == "append":
+                    # Callers reuse scratch buffers right after appending.
+                    scratch[:] = b"\xa5" * size
+            pipe.sync()
+            pipe.close()
+            with open(path, "rb") as fh:
+                assert fh.read() == bytes(expect)
+
+    @pytest.mark.parametrize("fail_at", [1, 5, 40])
+    def test_writer_error_surfaces_once(self, fail_at):
+        baseline = threading.active_count()
+        dest = self.MemDest(fail_at=fail_at)
+        pipe = PipelinedTableFile(dest, limit=2 << 20)
+        raised = []
+        try:
+            for i in range(64):
+                pipe.append(bytes([i]) * (256 << 10))
+            pipe.sync()
+        except IOError as exc:
+            raised.append(exc)
+        finally:
+            try:
+                pipe.close()
+            except IOError as exc:
+                raised.append(exc)
+        assert len(raised) == 1
+        assert dest.closed
+        assert threading.active_count() == baseline
+
+    def test_stress_more_pipelines_than_cores(self):
+        """Lost wake-ups or reordering under frequent thread switches."""
+        results = {}
+
+        def produce(index):
+            rng = random.Random(index)
+            dest = self.MemDest()
+            pipe = PipelinedTableFile(dest, limit=64 << 10)
+            expect = bytearray()
+            for _ in range(400):
+                chunk = rng.randbytes(rng.randrange(0, 40 << 10))
+                pipe.append(chunk)
+                expect += chunk
+                if rng.random() < 0.02:
+                    pipe.sync()
+            pipe.close()
+            results[index] = dest.data == expect and dest.closed
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            producers = [
+                threading.Thread(target=produce, args=(i,)) for i in range(4)
+            ]
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {i: True for i in range(4)}
+
+    def test_small_table_never_starts_the_writer(self):
+        baseline = threading.active_count()
+        dest = self.MemDest()
+        pipe = PipelinedTableFile(dest, limit=FLUSH_PIPELINE_BYTES)
+        for i in range(15):
+            pipe.append_owned(bytearray([i]) * (64 << 10))
+        assert threading.active_count() == baseline
+        assert dest.appends == 0  # held until sync: one write there
+        pipe.sync()
+        pipe.close()
+        assert dest.appends == 15 and dest.syncs == 1
+        assert dest.data == b"".join(bytes([i]) * (64 << 10) for i in range(15))
+
+    def test_large_table_writes_back_while_building(self):
+        baseline = threading.active_count()
+        dest = self.MemDest()
+        pipe = PipelinedTableFile(dest, limit=FLUSH_PIPELINE_BYTES)
+        pipe.append(b"\x01" * (1 << 20))
+        assert threading.active_count() == baseline + 1
+        for _ in range(24):
+            pipe.append(b"\x02" * (1 << 20))
+        pipe.sync()
+        pipe.close()
+        assert threading.active_count() == baseline
+        assert len(dest.data) == 25 << 20
+        # Write-back every 8 MiB on the writer, plus the closing sync.
+        assert dest.syncs == 25 // 8 + 1
 
 
 class TestByteIdentity:
