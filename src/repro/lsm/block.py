@@ -16,6 +16,7 @@ points*, enabling binary search inside the block.  The block trailer
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Optional
 
 from repro.errors import CorruptionError
@@ -174,7 +175,10 @@ class BlockBuilder:
 
 
 class Block:
-    """Read-side view of a serialized block with binary-searchable seeks."""
+    """Read-side view of a serialized block with binary-searchable seeks.
+
+    The restart array is parsed and validated once, at construction.
+    """
 
     def __init__(self, data: bytes, compare=None):
         if not isinstance(data, bytes):
@@ -187,9 +191,14 @@ class Block:
         restarts_off = len(data) - 4 - 4 * num_restarts
         if restarts_off < 0:
             raise CorruptionError("bad restart array")
-        self._restarts = [
-            decode_fixed32(data, restarts_off + 4 * i) for i in range(num_restarts)
-        ]
+        restarts = struct.unpack_from(f"<{num_restarts}I", data, restarts_off)
+        # A block holding entries needs a restart at its first entry and
+        # none past its last; otherwise a seek would silently miss.
+        if restarts_off and (
+            not restarts or restarts[0] != 0 or max(restarts) >= restarts_off
+        ):
+            raise CorruptionError("restart point outside the entry region")
+        self._restarts = restarts
         self._limit = restarts_off
 
     def _decode_entry(self, offset: int, prev_key: bytes) -> tuple[bytes, bytes, int]:
@@ -230,7 +239,7 @@ class Block:
         one restart interval.  Ordering is defined by the block's
         comparator.
         """
-        if not self._restarts or self._limit == 0:
+        if self._limit == 0:
             return
         lo, hi = 0, len(self._restarts) - 1
         # Find the last restart whose key < target.

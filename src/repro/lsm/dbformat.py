@@ -121,8 +121,8 @@ class InternalKeyComparator:
         Inverts the trailer so plain tuple ordering reproduces
         :func:`internal_compare`.
         """
-        trailer = decode_fixed64(ikey, len(ikey) - 8)
-        return (bytes(ikey[:-8]), -trailer)
+        user_key = internal_key_user_key(ikey)
+        return (user_key, -decode_fixed64(ikey, len(ikey) - 8))
 
 
 def seek_key(user_key: bytes, sequence: int = MAX_SEQUENCE) -> bytes:

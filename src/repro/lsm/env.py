@@ -290,29 +290,49 @@ class _LocalWritableFile(WritableFile):
 
 
 class _LocalRandomAccessFile(RandomAccessFile):
+    """Positional reads of one host file.
+
+    Each :meth:`read` is an ``os.pread`` (looped over short reads) on the
+    file's descriptor, so concurrent readers need no lock and never move a
+    file position.  With ``use_mmap`` reads copy out of a read-only map.
+    A read that reaches end of file returns the bytes that exist; callers
+    check the length.  The descriptor belongs to an unbuffered file
+    object, so a reader dropped without :meth:`close` still releases it
+    when collected, and a read after :meth:`close` raises instead of
+    reading whatever file later reuses the descriptor number.
+    """
+
     def __init__(self, path: str, use_mmap: bool):
         try:
-            self._fh = open(path, "rb")
+            self._fh = open(path, "rb", buffering=0)
         except FileNotFoundError as exc:
             raise NotFoundError(str(exc)) from exc
         except OSError as exc:
             raise StorageIOError(str(exc)) from exc
-        self._size = os.fstat(self._fh.fileno()).st_size
         self._mm = None
-        if use_mmap and self._size > 0:
-            import mmap
+        try:
+            self._size = os.fstat(self._fh.fileno()).st_size
+            if use_mmap and self._size > 0:
+                import mmap
 
-            self._mm = mmap.mmap(
-                self._fh.fileno(), self._size, access=mmap.ACCESS_READ
-            )
-        self._lock = threading.Lock()
+                self._mm = mmap.mmap(
+                    self._fh.fileno(), self._size, access=mmap.ACCESS_READ
+                )
+        except BaseException:
+            self._fh.close()
+            raise
 
     def read(self, offset: int, nbytes: int) -> bytes:
         if self._mm is not None:
             return bytes(self._mm[offset : offset + nbytes])
-        with self._lock:  # seek+read must be atomic across reader threads
-            self._fh.seek(offset)
-            return self._fh.read(nbytes)
+        fd = self._fh.fileno()  # ValueError once closed
+        data = os.pread(fd, nbytes, offset)
+        while len(data) < nbytes:  # a short read: resume where it stopped
+            more = os.pread(fd, nbytes - len(data), offset + len(data))
+            if not more:  # end of file
+                break
+            data += more
+        return data
 
     def size(self) -> int:
         return self._size
@@ -321,8 +341,7 @@ class _LocalRandomAccessFile(RandomAccessFile):
         if self._mm is not None:
             self._mm.close()
             self._mm = None
-        if not self._fh.closed:
-            self._fh.close()
+        self._fh.close()
 
 
 class _LocalSequentialFile(SequentialFile):

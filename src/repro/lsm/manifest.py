@@ -26,20 +26,23 @@ from repro.lsm.env import Env
 
 @dataclass(frozen=True)
 class FileMetaData:
-    """One live SSTable."""
+    """One live SSTable.
+
+    The user-key bounds are derived once at construction: every point
+    lookup compares against them for each L0 file.
+    """
 
     number: int
     file_size: int
     smallest: bytes  # smallest internal key
     largest: bytes   # largest internal key
+    smallest_user_key: bytes = field(init=False, repr=False, compare=False)
+    largest_user_key: bytes = field(init=False, repr=False, compare=False)
 
-    @property
-    def smallest_user_key(self) -> bytes:
-        return internal_key_user_key(self.smallest)
-
-    @property
-    def largest_user_key(self) -> bytes:
-        return internal_key_user_key(self.largest)
+    def __post_init__(self) -> None:
+        set_field = object.__setattr__  # frozen: bypass the guard once
+        set_field(self, "smallest_user_key", internal_key_user_key(self.smallest))
+        set_field(self, "largest_user_key", internal_key_user_key(self.largest))
 
     def overlaps_user_range(self, lo: bytes, hi: bytes) -> bool:
         """Whether this file's user-key range intersects [lo, hi]."""

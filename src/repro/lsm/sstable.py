@@ -24,13 +24,18 @@ from __future__ import annotations
 
 import json
 import zlib
+from bisect import bisect_left
 from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.cache import LRUCache
-from repro.lsm.dbformat import internal_compare, internal_key_user_key
+from repro.lsm.dbformat import (
+    InternalKeyComparator,
+    internal_compare,
+    internal_key_user_key,
+)
 from repro.lsm.env import RandomAccessFile, WritableFile
 from repro.lsm.options import ChecksumType, CompressionType, Options, ReadOptions
 from repro.util.varint import (
@@ -263,7 +268,7 @@ class Table:
         self._file = file
         self._file_number = file_number
         self._cache = block_cache if options.enable_block_cache else None
-        self._crc_fn = options.checksum.function()
+        self._crc2 = options.checksum.incremental()
 
         size = file.size()
         if size < FOOTER_SIZE:
@@ -273,9 +278,16 @@ class Table:
             raise CorruptionError("bad SSTable magic")
         metaindex_handle, pos = BlockHandle.decode(footer, 0)
         index_handle, _ = BlockHandle.decode(footer, pos)
-        self._index = Block(
-            self._read_block_payload(index_handle), compare=internal_compare
-        )
+        # The index never changes after open: decode it once into parallel
+        # lists a lookup can bisect.  Sort keys are (user key, -trailer),
+        # which orders exactly as internal_compare does.
+        sort_key = InternalKeyComparator.sort_key
+        self._index_keys: list[tuple[bytes, int]] = []
+        self._index_handles: list[BlockHandle] = []
+        index = Block(self._read_block_payload(index_handle))
+        for ikey, handle_bytes in index:
+            self._index_keys.append(sort_key(ikey))
+            self._index_handles.append(BlockHandle.decode(handle_bytes, 0)[0])
         metaindex = Block(self._read_block_payload(metaindex_handle))
         self._bloom: Optional[BloomFilter] = None
         self._properties: dict = {}
@@ -289,20 +301,23 @@ class Table:
     def _read_block_payload(
         self, handle: BlockHandle, verify: bool = True
     ) -> bytes:
-        raw = self._file.read(handle.offset, handle.size + BLOCK_TRAILER_SIZE)
-        if len(raw) != handle.size + BLOCK_TRAILER_SIZE:
+        size = handle.size
+        raw = self._file.read(handle.offset, size + BLOCK_TRAILER_SIZE)
+        if len(raw) != size + BLOCK_TRAILER_SIZE:
             raise CorruptionError("truncated block read")
-        payload = raw[: handle.size]
-        type_byte = raw[handle.size]
         if verify and self._options.checksum is not ChecksumType.NONE:
-            expected = int.from_bytes(
-                raw[handle.size + 1 : handle.size + 5], "little"
-            )
-            actual = _mask(self._crc_fn(payload + raw[handle.size : handle.size + 1]))
+            # Checksum (payload ‖ type byte) in two seeded steps over views
+            # of the read buffer: no concatenated copy.
+            view = memoryview(raw)
+            crc = self._crc2(view[size : size + 1], self._crc2(view[:size]))
+            actual = _mask(crc)
+            expected = int.from_bytes(raw[size + 1 : size + 5], "little")
             if expected != actual:
                 raise CorruptionError(
                     f"block checksum mismatch at offset {handle.offset}"
                 )
+        payload = raw[:size]
+        type_byte = raw[size]
         try:
             ctype = CompressionType(type_byte)
         except ValueError as exc:
@@ -339,29 +354,32 @@ class Table:
     ) -> Iterator[tuple[bytes, bytes]]:
         """Yield (internal key, value) with key >= ``target_ikey``."""
         read_options = read_options or ReadOptions()
-        started = False
-        for _, handle_bytes in self._index.seek(target_ikey):
-            handle, _ = BlockHandle.decode(handle_bytes, 0)
-            block = self._data_block(handle, read_options)
-            entries = block.seek(target_ikey) if not started else iter(block)
-            started = True
-            yield from entries
+        handles = self._index_handles
+        # Index keys are each block's last key: the first one >= target
+        # names the only block that can start the answer.
+        first = bisect_left(
+            self._index_keys, InternalKeyComparator.sort_key(target_ikey)
+        )
+        if first == len(handles):
+            return
+        yield from self._data_block(handles[first], read_options).seek(target_ikey)
+        for i in range(first + 1, len(handles)):
+            yield from self._data_block(handles[i], read_options)
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         read_options = ReadOptions()
-        for _, handle_bytes in self._index:
-            handle, _ = BlockHandle.decode(handle_bytes, 0)
+        for handle in self._index_handles:
             yield from self._data_block(handle, read_options)
 
     def index_user_keys(self) -> list[bytes]:
         """User-key separators from the index block (last key per block).
 
-        The index block is resident from open, so this costs no I/O; the
+        The index is decoded at open, so this costs no I/O; the
         compaction planner uses these as candidate subcompaction
         boundaries — every candidate falls on a data-block edge, so a
         range-restricted merge never splits a block between partitions.
         """
-        return [internal_key_user_key(ikey) for ikey, _ in self._index]
+        return [user_key for user_key, _ in self._index_keys]
 
     @property
     def properties(self) -> dict:

@@ -1,6 +1,7 @@
 """Tests for the command-line interfaces (repro.ior / repro.bench)."""
 
 import json
+import os
 
 import pytest
 
@@ -59,3 +60,37 @@ class TestBenchCli:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             bench_main(["fig99"])
+
+    def test_pins_to_one_cpu_then_restores(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 3})
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus))
+        )
+        assert bench_main(["fig1"]) == 0
+        assert calls == [{3}, {0, 1, 3}]
+
+    def test_restores_affinity_when_the_run_fails(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus))
+        )
+        with pytest.raises(SystemExit):
+            bench_main(["fig99"])
+        assert calls == [{1}, {0, 1}]
+
+    def test_runs_unpinned_without_affinity_support(self, monkeypatch, capsys):
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert bench_main(["fig1"]) == 0
+
+    def test_runs_unpinned_when_affinity_is_refused(self, monkeypatch, capsys):
+        calls = []
+
+        def refuse(pid, cpus):
+            calls.append(set(cpus))
+            raise PermissionError("not allowed")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert bench_main(["fig1"]) == 0
+        assert len(calls) == 1  # the pin attempt only; nothing to restore

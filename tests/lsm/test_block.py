@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptionError
 from repro.lsm.block import Block, BlockBuilder
+from repro.util.varint import encode_fixed32
 
 
 def build(entries, restart_interval=16):
@@ -139,3 +141,52 @@ class TestBlockComparator:
         block = Block(builder.finish(), compare=internal_compare)
         found = list(block.seek(seek_key(b"k")))
         assert [v for _, v in found] == [b"9", b"5", b"2"]
+
+
+class TestCorruptRestartArray:
+    """A restart array that would make a seek miss present keys must raise.
+
+    Without a checksum to catch the damage (``verify_checksums=False`` or
+    ``ChecksumType.NONE``) a silent miss reads as ``NotFoundError``.
+    """
+
+    @staticmethod
+    def entries_and_restarts(entries, restart_interval=16):
+        """Split a built block into (entry bytes, restart offsets)."""
+        data = bytes(build(entries, restart_interval)._data)  # noqa: SLF001
+        num = int.from_bytes(data[-4:], "little")
+        limit = len(data) - 4 - 4 * num
+        restarts = [
+            int.from_bytes(data[limit + 4 * i : limit + 4 * i + 4], "little")
+            for i in range(num)
+        ]
+        return data[:limit], restarts
+
+    @staticmethod
+    def assemble(body, restarts):
+        out = body + b"".join(encode_fixed32(r) for r in restarts)
+        return out + encode_fixed32(len(restarts))
+
+    @pytest.mark.parametrize("past", [0, 1, 1000])
+    def test_restart_at_or_past_entry_region_raises(self, past):
+        body, restarts = self.entries_and_restarts([(b"key", b"value")])
+        assert restarts == [0]
+        with pytest.raises(CorruptionError, match="restart point"):
+            Block(self.assemble(body, [len(body) + past]))
+
+    def test_zero_restarts_with_entries_raises(self):
+        body, _ = self.entries_and_restarts([(b"a", b"1"), (b"b", b"2")])
+        with pytest.raises(CorruptionError, match="restart point"):
+            Block(self.assemble(body, []))
+
+    def test_first_restart_past_first_entry_raises(self):
+        entries = [(b"a", b"1"), (b"b", b"2")]
+        body, restarts = self.entries_and_restarts(entries, restart_interval=1)
+        assert restarts[0] == 0 and len(restarts) == 2
+        # Restart 0 moved onto entry 1: a seek for b"a" would skip it.
+        with pytest.raises(CorruptionError, match="restart point"):
+            Block(self.assemble(body, [restarts[1], restarts[1]]))
+
+    def test_empty_blocks_stay_valid(self):
+        assert list(Block(self.assemble(b"", []))) == []
+        assert list(Block(self.assemble(b"", [0])).seek(b"a")) == []

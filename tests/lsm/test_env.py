@@ -1,8 +1,15 @@
 """Tests for the Env abstraction (LocalFsEnv and MemEnv behave alike)."""
 
+import gc
+import os
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.errors import NotFoundError
+from repro.lsm import DB, Options
 from repro.lsm.env import LocalFsEnv, MemEnv
 
 
@@ -131,6 +138,131 @@ class TestLocalMmap:
         with env.new_random_access_file(path) as fh:
             assert fh.read(0, 4) == b""
 
+
+class TestLocalPositionalReads:
+    def _file(self, tmp_path, contents):
+        env = LocalFsEnv()
+        path = str(tmp_path / "f")
+        with env.new_writable_file(path) as fh:
+            fh.append(contents)
+        return env.new_random_access_file(path)
+
+    def test_short_preads_are_resumed(self, tmp_path, monkeypatch):
+        contents = bytes(range(256)) * 4
+        pread = os.pread
+        calls = []
+
+        def dribble(fd, n, offset):
+            calls.append(offset)
+            return pread(fd, min(n, 3), offset)
+
+        monkeypatch.setattr(os, "pread", dribble)
+        with self._file(tmp_path, contents) as fh:
+            assert fh.read(10, 100) == contents[10:110]
+            assert len(calls) == 34  # ceil(100 / 3)
+            # Past end of file: the bytes that exist, then a clean stop.
+            assert fh.read(len(contents) - 5, 100) == contents[-5:]
+            assert fh.read(len(contents) + 10, 4) == b""
+
+    def test_concurrent_readers_share_one_descriptor(self, tmp_path):
+        contents = os.urandom(1 << 16)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._file(tmp_path, contents) as fh:
+
+                def reader(seed):
+                    rng = random.Random(seed)
+                    for _ in range(300):
+                        offset = rng.randrange(len(contents))
+                        n = rng.randrange(1, 4096)
+                        if fh.read(offset, n) != contents[offset : offset + n]:
+                            errors.append((offset, n))
+
+                threads = [
+                    threading.Thread(target=reader, args=(seed,))
+                    for seed in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+
+
+def _open_descriptors_to(directory):
+    """Targets of this process's descriptors that lie in ``directory``."""
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("no /proc/self/fd on this platform")
+    prefix = os.path.realpath(directory) + os.sep
+    targets = []
+    for name in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, name))
+        except OSError:
+            continue  # the descriptor listdir itself used, now closed
+        if target.startswith(prefix):
+            targets.append(target)
+    return targets
+
+
+class TestLocalReaderLifetime:
+    def test_read_after_close_raises(self, tmp_path):
+        env = LocalFsEnv()
+        path = str(tmp_path / "f")
+        with env.new_writable_file(path) as fh:
+            fh.append(b"data")
+        reader = env.new_random_access_file(path)
+        reader.close()
+        reader.close()  # idempotent
+        with pytest.raises(ValueError):
+            reader.read(0, 4)
+
+    def test_dropped_reader_releases_its_descriptor(self, tmp_path):
+        env = LocalFsEnv()
+        path = str(tmp_path / "f")
+        with env.new_writable_file(path) as fh:
+            fh.append(b"data")
+        reader = env.new_random_access_file(path)
+        assert reader.read(0, 4) == b"data"
+        assert _open_descriptors_to(tmp_path) == [os.path.realpath(path)]
+        del reader
+        gc.collect()
+        assert _open_descriptors_to(tmp_path) == []
+
+    def test_compacted_away_tables_release_their_descriptors(self, tmp_path):
+        # The DB drops obsolete tables from its table cache without closing
+        # them; their descriptors must still go, or every compaction keeps
+        # an unlinked SSTable's disk space allocated until the process ends.
+        dbdir = tmp_path / "db"
+        db = DB.open(str(dbdir), Options(write_buffer_size="64K"))
+        try:
+            for round_ in range(6):
+                for i in range(64):
+                    db.put(b"k%04d" % i, b"v%d" % round_ * 50)
+                db.flush()
+                assert db.get(b"k0000") == b"v%d" % round_ * 50
+            db.compact_range()
+            assert db.get(b"k0063") == b"v5" * 50
+            gc.collect()
+            live = {name for name in os.listdir(dbdir) if name.endswith(".sst")}
+            open_tables = [
+                target
+                for target in _open_descriptors_to(dbdir)
+                if ".sst" in target
+            ]
+            assert open_tables
+            assert all(
+                os.path.basename(target) in live for target in open_tables
+            ), open_tables
+        finally:
+            db.close()
 
 class TestMemEnvNesting:
     def test_nested_children(self):
