@@ -48,14 +48,17 @@ from repro.trace import runtime as _trace
 from repro.util.humanize import parse_size
 
 
+#: lower-case class name of each priority, looked up per submit (an
+#: ``Enum.name`` access plus ``str.lower`` per request adds up at fleet
+#: scale)
+_CLASS_NAMES = {p: p.name.lower() for p in Priority}
+
 #: precomputed per-class histogram keys — the submit fast path must not
 #: build strings (telemetry.* namespace, one wait + one service series
 #: per priority class)
-_WAIT_KEYS = {
-    p.name.lower(): f"io.sched.wait.{p.name.lower()}" for p in Priority
-}
+_WAIT_KEYS = {cls: f"io.sched.wait.{cls}" for cls in _CLASS_NAMES.values()}
 _SERVICE_KEYS = {
-    p.name.lower(): f"io.sched.service.{p.name.lower()}" for p in Priority
+    cls: f"io.sched.service.{cls}" for cls in _CLASS_NAMES.values()
 }
 
 
@@ -72,10 +75,10 @@ class SchedulerStats:
 
     def __init__(self) -> None:
         # flat per-class counters (stable schema: every class always present)
-        self.class_submitted = {p.name.lower(): 0 for p in Priority}
-        self.class_issued = {p.name.lower(): 0 for p in Priority}
-        self.class_bytes = {p.name.lower(): 0 for p in Priority}
-        self.class_stall_time = {p.name.lower(): 0.0 for p in Priority}
+        self.class_submitted = dict.fromkeys(_CLASS_NAMES.values(), 0)
+        self.class_issued = dict.fromkeys(_CLASS_NAMES.values(), 0)
+        self.class_bytes = dict.fromkeys(_CLASS_NAMES.values(), 0)
+        self.class_stall_time = dict.fromkeys(_CLASS_NAMES.values(), 0.0)
         self.inline_issues = 0     #: requests issued without queueing
         self.queued_issues = 0     #: requests that parked in an admission queue
         self.max_queue_depth = 0
@@ -90,7 +93,7 @@ class SchedulerStats:
             "throttle_time": self.throttle_time,
             "throttled_bytes": self.throttled_bytes,
         }
-        for cls in (p.name.lower() for p in Priority):
+        for cls in _CLASS_NAMES.values():
             out[f"submitted_{cls}"] = self.class_submitted[cls]
             out[f"issued_{cls}"] = self.class_issued[cls]
             out[f"bytes_{cls}"] = self.class_bytes[cls]
@@ -479,7 +482,7 @@ class IoScheduler:
         """
         if priority is None:
             priority = current_priority()
-        cls = priority.name.lower()
+        cls = _CLASS_NAMES[priority]
         stats = self.stats
         stats.class_submitted[cls] += 1
         stats.class_bytes[cls] += nbytes

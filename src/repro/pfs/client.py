@@ -92,6 +92,9 @@ class LustreClient:
             (config.jitter_seed * 1_000_003 + client_id) & 0xFFFFFFFF
         )
         self._outstanding: list = []  # write-behind LightProcess handles
+        # Process names for the per-RPC light processes, built once.
+        self._wb_name = f"client{client_id}.wb"
+        self._rd_name = f"client{client_id}.rd"
         self._last_arrival = 0.0
         self.stats = ClientStats()
         # Retry/timeout policy (only exercised when faults are injected).
@@ -114,7 +117,7 @@ class LustreClient:
             compaction_bandwidth=config.io_compaction_bandwidth,
             drr_quantum=config.io_drr_quantum,
         )
-        cluster.clients.append(self)
+        cluster.client_stats.append(self.stats)
         # Client-side metadata cache (off by default; enabling registers
         # this client for the cluster's invalidation broadcast).
         self._md_cache: Optional[MetadataCache] = None
@@ -460,8 +463,7 @@ class LustreClient:
                 finally:
                     self._nic.release()
                 proc = engine.spawn_light(
-                    self._rpc_lw, rpc, True,
-                    name=f"client{self.client_id}.wb",
+                    self._rpc_lw, rpc, True, name=self._wb_name
                 )
                 self._outstanding.append(proc)
                 self.stats.write_rpcs += 1
@@ -638,9 +640,7 @@ class LustreClient:
         engine = self.cluster.engine
         # OST + OSS stages proceed in parallel across targets…
         procs = [
-            engine.spawn_light(
-                self._rpc_lw, rpc, False, name=f"client{self.client_id}.rd"
-            )
+            engine.spawn_light(self._rpc_lw, rpc, False, name=self._rd_name)
             for rpc in rpcs
         ]
         for proc in procs:

@@ -125,6 +125,36 @@ class LustreConfig:
             raise InvalidArgumentError("io_drr_quantum must be >= 1 byte")
 
 
+#: Upper bound on the bytes the shared zero buffers may hold.  Data-less
+#: reads repeat a few lengths (a shard, a chunk, an RPC), so a handful of
+#: buffers serve a whole campaign; a longer read is allocated per call.
+_ZEROS_CAP = 64 << 20
+_ZEROS: dict[int, bytes] = {}
+_zeros_held = 0
+
+
+def _zeros(nbytes: int) -> bytes:
+    """``nbytes`` zero bytes, shared between reads of the same length.
+
+    ``bytes`` is immutable, so one buffer can back every data-less read
+    of a length instead of each read building (and the caller dropping)
+    its own.  A new length that would overflow the cap empties the cache
+    first, so the lengths in current use are the ones held, whatever
+    ran earlier in the process.
+    """
+    global _zeros_held
+    buf = _ZEROS.get(nbytes)
+    if buf is None:
+        buf = bytes(nbytes)
+        if nbytes <= _ZEROS_CAP:
+            if _zeros_held + nbytes > _ZEROS_CAP:
+                _ZEROS.clear()
+                _zeros_held = 0
+            _ZEROS[nbytes] = buf
+            _zeros_held += nbytes
+    return buf
+
+
 class LustreFile:
     """One striped file: layout + logical contents."""
 
@@ -150,10 +180,15 @@ class LustreFile:
     def store(self, offset: int, data: bytes) -> None:
         """Record logical contents (no simulated cost — timing is separate)."""
         end = offset + len(data)
-        if self._data is not None:
-            if end > len(self._data):
-                self._data.extend(b"\x00" * (end - len(self._data)))
-            self._data[offset:end] = data
+        stored = self._data
+        if stored is not None:
+            gap = offset - len(stored)
+            if gap >= 0:  # at or past EOF: the common sequential append
+                if gap:
+                    stored.extend(bytes(gap))
+                stored.extend(data)
+            else:  # overwrite; a slice assignment grows past EOF itself
+                stored[offset:end] = data
         self.size = max(self.size, end)
 
     def load(self, offset: int, nbytes: int) -> bytes:
@@ -162,10 +197,11 @@ class LustreFile:
         if end <= offset:
             return b""
         if self._data is None:
-            return b"\x00" * (end - offset)
-        chunk = bytes(self._data[offset:end])
+            return _zeros(end - offset)
+        with memoryview(self._data) as view:
+            chunk = bytes(view[offset:end])
         if len(chunk) < end - offset:  # hole past stored bytes
-            chunk += b"\x00" * (end - offset - len(chunk))
+            chunk += bytes(end - offset - len(chunk))
         return chunk
 
     def extend_size(self, offset: int, nbytes: int) -> None:
@@ -244,9 +280,12 @@ class LustreCluster:
         #: installed by repro.fault.FaultInjector.install(); None means
         #: every fault hook is a single is-None check (healthy fast path)
         self.fault_injector = None
-        #: every LustreClient registers here so cluster-wide reports can
-        #: aggregate per-client retry/timeout counters
-        self.clients: list = []
+        #: every LustreClient registers its ClientStats here so cluster-wide
+        #: reports can aggregate retry/timeout counters.  The cluster keeps
+        #: the stats, not the clients: a client points at its cluster, and
+        #: a back-reference would make a finished cluster (and its file
+        #: payloads) a cycle that only a full collection frees.
+        self.client_stats: list = []  # ClientStats
         #: metadata caches needing invalidation broadcasts on namespace
         #: mutations; only cache-enabled clients register, so the default
         #: config pays nothing here
@@ -273,8 +312,8 @@ class LustreCluster:
         engine's files must keep real bytes even when bulk benchmark
         files run data-less.
         """
-        layout = StripeLayout(
-            stripe_size=parse_size(
+        layout = StripeLayout(  # parses a "1M"-style stripe_size itself
+            stripe_size=(
                 stripe_size
                 if stripe_size is not None
                 else self.config.default_stripe_size
@@ -369,10 +408,10 @@ class LustreCluster:
         return sum(ost.stats.lock_switches for ost in self.osts)
 
     def total_rpc_retries(self) -> int:
-        return sum(client.stats.rpc_retries for client in self.clients)
+        return sum(stats.rpc_retries for stats in self.client_stats)
 
     def total_rpc_timeouts(self) -> int:
-        return sum(client.stats.rpc_timeouts for client in self.clients)
+        return sum(stats.rpc_timeouts for stats in self.client_stats)
 
     def total_backoff_time(self) -> float:
-        return sum(client.stats.backoff_time for client in self.clients)
+        return sum(stats.backoff_time for stats in self.client_stats)

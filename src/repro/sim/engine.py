@@ -173,6 +173,7 @@ class Process:
                         self.done.fail(self.error)
                     else:
                         self.done.succeed(self.result)
+            self.engine._processes.pop(self, None)
             self.engine._engine_turnstile.set()
 
     def _park(self) -> None:
@@ -217,7 +218,7 @@ class LightProcess:
 
     __slots__ = (
         "engine", "name", "daemon", "done", "result", "error",
-        "_gen", "_finished", "_wait_event", "_span",
+        "_gen", "_finished", "_wait_event", "_span", "__weakref__",
     )
 
     def __init__(self, engine: "Engine", gen, name: str, daemon: bool):
@@ -323,6 +324,8 @@ class LightProcess:
 
     def _finish(self, result: Any, error: Optional[BaseException]) -> None:
         self._finished = True
+        self._gen = None
+        self.engine._processes.pop(self, None)
         self.result = result
         self.error = error
         if not self.done.triggered:
@@ -415,7 +418,10 @@ class Engine:
         self._seq = itertools.count()
         self._engine_turnstile = threading.Event()
         self._running_process = None  # Process | LightProcess
-        self._processes: list = []  # Process | LightProcess
+        #: live processes in spawn order (keys; values unused): a process
+        #: leaves when it finishes, so a fleet-size run holds only what
+        #: is still blocked or runnable
+        self._processes: dict = {}  # Process | LightProcess -> None
         self._local = _TLS
         self._closed = False
         # When False, spawn_light() falls back to a thread-backed process
@@ -457,7 +463,7 @@ class Engine:
             name=name or getattr(fn, "__name__", "proc"),
             daemon=daemon,
         )
-        self._processes.append(proc)
+        self._processes[proc] = None
         self._schedule(0.0, proc._resume_action)
         tracer = _trace.TRACER
         if tracer is not None:
@@ -490,7 +496,7 @@ class Engine:
         if not self._light_enabled:
             return self.spawn(run_blocking, gen, name=pname, daemon=daemon)
         proc = LightProcess(self, gen, name=pname, daemon=daemon)
-        self._processes.append(proc)
+        self._processes[proc] = None
         self._schedule(0.0, proc._resume_action)
         tracer = _trace.TRACER
         if tracer is not None:
@@ -589,9 +595,7 @@ class Engine:
         return self._finish_run()
 
     def _finish_run(self) -> float:
-        blocked = [
-            p.name for p in self._processes if p.alive and not p.daemon
-        ]
+        blocked = [p.name for p in self._processes if not p.daemon]
         if blocked:
             raise DeadlockError(
                 f"no events pending but processes blocked: {blocked}"
@@ -603,9 +607,12 @@ class Engine:
         if self._closed:
             return
         self._closed = True
-        for proc in self._processes:
+        # A killed thread process unwinds through _bootstrap, which
+        # removes it from the dict: iterate over a snapshot.
+        for proc in list(self._processes):
             if proc.alive:
                 proc._kill()
+        self._processes.clear()
         self._heap.clear()
 
     def __enter__(self) -> "Engine":

@@ -27,15 +27,21 @@ def fast_retry_cluster(**overrides):
 
 
 def run_faulty(config, schedule, fn, num_clients=1):
+    """Run ``fn`` on fresh clients; (result, cluster, injector, t, clients).
+
+    The clients come back as ``fn`` received them (one client, or the
+    list): the cluster does not keep its clients.
+    """
     with sim.Engine() as engine:
         cluster = LustreCluster(engine, config)
         injector = None
         if schedule is not None:
             injector = FaultInjector(schedule).install(cluster)
         clients = [LustreClient(cluster, i) for i in range(num_clients)]
-        proc = engine.spawn(fn, clients if num_clients > 1 else clients[0])
+        handed = clients if num_clients > 1 else clients[0]
+        proc = engine.spawn(fn, handed)
         elapsed = engine.run()
-    return proc.result, cluster, injector, elapsed
+    return proc.result, cluster, injector, elapsed, handed
 
 
 def metadata_workload(client):
@@ -49,11 +55,11 @@ def metadata_workload(client):
 class TestMdsFailures:
     def test_transient_mds_failure_is_retried_through(self):
         schedule = FaultSchedule().fail_mds(0, at_time=0.0, duration=0.05)
-        ok, cluster, injector, _ = run_faulty(
+        ok, _, injector, _, client = run_faulty(
             fast_retry_cluster(), schedule, metadata_workload
         )
         assert ok
-        stats = cluster.clients[0].stats
+        stats = client.stats
         assert stats.rpc_retries > 0
         assert stats.rpc_timeouts > 0
         assert stats.rpc_failures == 0
@@ -68,7 +74,7 @@ class TestMdsFailures:
         already dispatched to a shard that drops mid-flight raises
         MdsUnavailableError and counts as rejected, not served."""
         schedule = FaultSchedule().fail_mds(0, at_time=0.0, duration=0.05)
-        _, cluster, _, _ = run_faulty(
+        _, cluster, _, _, _ = run_faulty(
             fast_retry_cluster(), schedule, metadata_workload
         )
         agg = cluster.mds.stats
@@ -87,7 +93,7 @@ class TestMdsFailures:
             client.create("b")
             return injector.down_mds
 
-        down, cluster, _, _ = run_faulty(
+        down, cluster, _, _, _ = run_faulty(
             fast_retry_cluster(), FaultSchedule(), main
         )
         assert down == ()
@@ -122,7 +128,7 @@ class TestMidCampaignOutage:
 
     def test_outage_degrades_but_completes(self):
         schedule = FaultSchedule().fail_mds(2, at_time=0.001, duration=0.08)
-        listed, cluster, injector, _ = self._run(schedule)
+        listed, cluster, injector, _, _ = self._run(schedule)
         assert listed == [self.FILES] * self.N_CLIENTS
         assert cluster.total_rpc_retries() > 0
         assert injector.stats.mds_failed == 1

@@ -36,7 +36,11 @@ def fast_retry_cluster(**overrides):
 
 
 def run_faulty(config, schedule, fn):
-    """Run fn(client) on a one-client cluster with ``schedule`` installed."""
+    """Run fn(client) on a one-client cluster with ``schedule`` installed.
+
+    Returns ``(result, cluster, injector, elapsed, client)``; the client
+    comes back explicitly because the cluster does not keep it.
+    """
     with sim.Engine() as engine:
         cluster = LustreCluster(engine, config)
         injector = None
@@ -45,7 +49,7 @@ def run_faulty(config, schedule, fn):
         client = LustreClient(cluster, 0)
         proc = engine.spawn(fn, client)
         elapsed = engine.run()
-    return proc.result, cluster, injector, elapsed
+    return proc.result, cluster, injector, elapsed, client
 
 
 def write_one_file(client, nbytes=1 << 16, stripe_count=1):
@@ -101,11 +105,11 @@ class TestOstFailures:
         """An OST that reboots within the retry budget costs retries,
         not data: the write completes and reads back verbatim."""
         schedule = FaultSchedule().fail_ost(0, at_time=0.0, duration=0.04)
-        ok, cluster, injector, _ = run_faulty(
+        ok, cluster, injector, _, client = run_faulty(
             fast_retry_cluster(), schedule, write_one_file
         )
         assert ok
-        client_stats = cluster.clients[0].stats
+        client_stats = client.stats
         assert client_stats.rpc_retries > 0
         assert client_stats.rpc_failures == 0
         assert client_stats.backoff_time > 0
@@ -124,7 +128,7 @@ class TestOstFailures:
                 client.fsync(file)
             return True
 
-        ok, cluster, injector, _ = run_faulty(
+        ok, cluster, injector, _, _ = run_faulty(
             fast_retry_cluster(), schedule, main
         )
         assert ok
@@ -151,7 +155,7 @@ class TestOstFailures:
             sim.sleep(1.0)  # let the degradation window pass
             return write_one_file(client)
 
-        ok, cluster, _, _ = run_faulty(fast_retry_cluster(), schedule, main)
+        ok, cluster, _, _, _ = run_faulty(fast_retry_cluster(), schedule, main)
         assert ok
         # the disk profile is back to the healthy object
         assert cluster.osts[0].disk is cluster.osts[0]._healthy_disk
@@ -179,11 +183,11 @@ def test_permanent_failure_exhausts_retries(domain):
             client.fsync(file)
         return excinfo.value
 
-    error, cluster, injector, _ = run_faulty(
+    error, cluster, injector, _, client = run_faulty(
         fast_retry_cluster(rpc_max_retries=retries), schedule, main
     )
     assert error.attempts == retries + 1
-    assert cluster.clients[0].stats.rpc_failures == 1
+    assert client.stats.rpc_failures == 1
     if domain == "ost":
         assert isinstance(error.last_error, OstUnavailableError)
         assert error.last_error.ost_index == 0
@@ -197,22 +201,22 @@ def test_permanent_failure_exhausts_retries(domain):
 class TestOssAndRpcFaults:
     def test_oss_failure_times_out_then_recovers(self):
         schedule = FaultSchedule().fail_oss(0, at_time=0.0, duration=0.03)
-        ok, cluster, injector, _ = run_faulty(
+        ok, cluster, injector, _, client = run_faulty(
             fast_retry_cluster(rpc_max_retries=8), schedule, write_one_file
         )
         assert ok
-        assert cluster.clients[0].stats.rpc_timeouts > 0
+        assert client.stats.rpc_timeouts > 0
         assert injector.stats.osses_failed == 1
         assert cluster.osses[0].up
 
     def test_dropped_rpcs_burn_timeouts_and_retry(self):
         schedule = FaultSchedule().drop_rpc(every=2)
-        ok, cluster, injector, _ = run_faulty(
+        ok, _, injector, _, client = run_faulty(
             fast_retry_cluster(), schedule, write_one_file
         )
         assert ok
         assert injector.stats.rpcs_dropped > 0
-        stats = cluster.clients[0].stats
+        stats = client.stats
         assert stats.rpc_timeouts == injector.stats.rpcs_dropped
         assert stats.rpc_retries >= stats.rpc_timeouts
 
@@ -230,7 +234,7 @@ class TestOssAndRpcFaults:
 
     def test_cluster_report_shows_fault_counters(self):
         schedule = FaultSchedule().drop_rpc(every=2)
-        _, cluster, _, elapsed = run_faulty(
+        _, cluster, _, elapsed, _ = run_faulty(
             fast_retry_cluster(), schedule, write_one_file
         )
         report = collect_report(cluster, elapsed)
@@ -253,7 +257,7 @@ class TestImperativeApi:
             client.fsync(file)
             return client.read(file, 0, 8192)
 
-        data, _, injector, _ = run_faulty(
+        data, _, injector, _, _ = run_faulty(
             fast_retry_cluster(), FaultSchedule(), main
         )
         assert data == b"a" * 4096 + b"b" * 4096
@@ -286,14 +290,14 @@ class TestDeterminism:
                        self._workload)
             for _ in range(2)
         ]
-        (data_a, cluster_a, inj_a, t_a) = runs[0]
-        (data_b, cluster_b, inj_b, t_b) = runs[1]
+        (data_a, _, inj_a, t_a, client_a) = runs[0]
+        (data_b, _, inj_b, t_b, client_b) = runs[1]
         assert data_a == data_b
         assert inj_a.trace == inj_b.trace
         assert inj_a.stats.snapshot() == inj_b.stats.snapshot()
         assert t_a == t_b
-        stats_a = cluster_a.clients[0].stats
-        stats_b = cluster_b.clients[0].stats
+        stats_a = client_a.stats
+        stats_b = client_b.stats
         assert stats_a == stats_b
 
     def test_different_seed_diverges(self):
@@ -315,11 +319,11 @@ class TestDeterminism:
 
 class TestZeroOverhead:
     def test_no_injector_means_no_trace_and_same_counters(self):
-        ok, cluster, injector, _ = run_faulty(
+        ok, _, injector, _, client = run_faulty(
             fast_retry_cluster(), None, write_one_file
         )
         assert ok and injector is None
-        stats = cluster.clients[0].stats
+        stats = client.stats
         assert stats.rpc_retries == 0
         assert stats.rpc_timeouts == 0
         assert stats.backoff_time == 0.0

@@ -94,14 +94,19 @@ class TestMetadataCacheUnit:
 
 
 def run_cached(fn, num_clients=1, **overrides):
-    """Run fn(clients) on an md_cache=True cluster; (result, cluster, t)."""
+    """Run fn(clients) on an md_cache=True cluster; (result, clients, t).
+
+    The clients come back as ``fn`` received them (one client, or the
+    list): the cluster does not keep its clients.
+    """
     config = small_test_cluster(md_cache=True, **overrides)
     with sim.Engine() as engine:
         cluster = LustreCluster(engine, config)
         clients = [LustreClient(cluster, i) for i in range(num_clients)]
-        proc = engine.spawn(fn, clients if num_clients > 1 else clients[0])
+        handed = clients if num_clients > 1 else clients[0]
+        proc = engine.spawn(fn, handed)
         elapsed = engine.run()
-    return proc.result, cluster, elapsed
+    return proc.result, handed, elapsed
 
 
 class TestClientIntegration:
@@ -113,9 +118,8 @@ class TestClientIntegration:
             client.open("f")
             return client.stats.mds_ops - before
 
-        extra_ops, cluster, _ = run_cached(main)
+        extra_ops, client, _ = run_cached(main)
         assert extra_ops == 0  # both opens answered locally
-        client = cluster.clients[0]
         assert client._md_cache.stats.hits == 2
 
     def test_negative_entry_short_circuits_missing_paths(self):
@@ -127,9 +131,9 @@ class TestClientIntegration:
                 client.stat("nope")  # negative hit: no RPC
             return client.stats.mds_ops - before
 
-        extra_ops, cluster, _ = run_cached(main)
+        extra_ops, client, _ = run_cached(main)
         assert extra_ops == 0
-        assert cluster.clients[0]._md_cache.stats.negative_hits == 1
+        assert client._md_cache.stats.negative_hits == 1
 
     def test_unlink_invalidates_every_client(self):
         """Client 1's cached verdict must not survive client 0's unlink —
@@ -143,9 +147,8 @@ class TestClientIntegration:
                 b.open("shared")
             return True
 
-        ok, cluster, _ = run_cached(main, num_clients=2)
+        ok, (_, b), _ = run_cached(main, num_clients=2)
         assert ok
-        b = cluster.clients[1]
         assert b._md_cache.stats.invalidations >= 1
 
     def test_setattr_invalidates_cached_verdicts(self):
@@ -168,9 +171,9 @@ class TestClientIntegration:
             client.open("f")  # expired: a real MDS op again
             return client.stats.mds_ops - before
 
-        extra_ops, cluster, _ = run_cached(main, md_cache_ttl=0.5)
+        extra_ops, client, _ = run_cached(main, md_cache_ttl=0.5)
         assert extra_ops == 1
-        assert cluster.clients[0]._md_cache.stats.expirations == 1
+        assert client._md_cache.stats.expirations == 1
 
     def test_cache_off_by_default(self):
         with sim.Engine() as engine:
