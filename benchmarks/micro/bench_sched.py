@@ -69,7 +69,7 @@ def run_policy(policy: str, samples: int) -> dict:
         cluster = LustreCluster(engine, small_test_cluster())
         client = LustreClient(cluster, 0)
         if policy != "fifo":
-            client.set_io_policy(policy)
+            client.scheduler.set_policy(policy)
 
         done = {"foreground": False}
         latencies_ms: list[float] = []

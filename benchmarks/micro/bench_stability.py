@@ -39,6 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro import sim, trace  # noqa: E402
 from repro._version import __version__  # noqa: E402
+from repro.io import Priority  # noqa: E402
 from repro.lsm import DB, Options  # noqa: E402
 from repro.pfs import LustreClient, LustreCluster, SimLustreEnv  # noqa: E402
 from repro.pfs.configs import small_test_cluster  # noqa: E402
@@ -107,7 +108,9 @@ def run_mode(mode: str, samples: int) -> dict:
             client = LustreClient(cluster, 0)
             # The cap goes in before DB.open so the pacer adopts the
             # capped rate as its base.
-            client.scheduler.set_compaction_bandwidth(COMPACTION_BW)
+            client.scheduler.set_class_bandwidth(
+                Priority.COMPACTION, COMPACTION_BW
+            )
             env = SimLustreEnv(client)
 
             latencies_ms: list[float] = []

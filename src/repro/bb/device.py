@@ -54,9 +54,6 @@ class BurstBufferConfig:
     #: how long an overflowing writer backpressure-waits for the drain
     #: to free space before degrading to write-through (seconds)
     overflow_timeout: float = 1.0
-    #: False turns ladder exhaustion into StorageIOError instead of
-    #: degraded write-through (for callers that must not bypass the tier)
-    degrade_on_overflow: bool = True
     #: NVMe-like (survives node crash) vs DRAM-like (crash loses all)
     persistent: bool = True
     #: seeds the torn-write cut on crash

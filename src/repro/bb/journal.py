@@ -43,9 +43,6 @@ OP_COMMIT = 2
 OP_DELETE = 3
 OP_RENAME = 4
 
-_OP_NAMES = {OP_SEAL: "seal", OP_COMMIT: "commit",
-             OP_DELETE: "delete", OP_RENAME: "rename"}
-
 #: device blob the journal lives in ("." prefix keeps it out of every
 #: database path the engine can generate)
 JOURNAL_BLOB = ".bb/journal"
@@ -60,10 +57,6 @@ class JournalRecord:
     size: int = 0
     crc: int = 0
     dst: Optional[str] = None  # RENAME only
-
-    @property
-    def op_name(self) -> str:
-        return _OP_NAMES.get(self.op, f"op{self.op}")
 
 
 def _encode_str(text: str) -> bytes:

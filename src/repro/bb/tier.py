@@ -417,12 +417,6 @@ class BurstBufferTier:
                 self._degrade("device down")
                 return False
             if not self._make_room(len(chunk)):
-                if not self.config.degrade_on_overflow:
-                    raise StorageIOError(
-                        f"burst buffer full ({self.device.used_bytes} / "
-                        f"{self.config.capacity} bytes) and degradation "
-                        "is disabled"
-                    )
                 self._degrade("tier overflow")
                 return False
             try:
@@ -689,10 +683,6 @@ class BurstBufferTier:
             sampler.unregister(f"bb.{self.name}.dirty_bytes")
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def pending_drains(self) -> int:
-        return self._pending
 
     @property
     def parked_segments(self) -> tuple[str, ...]:

@@ -34,6 +34,7 @@ from repro.core.counters import PerfCounters
 from repro.core.options import LsmioOptions
 from repro.core.serialization import deserialize_value, serialize_value
 from repro.core.store import LsmioStore
+from repro.io import Priority
 from repro.trace import runtime as _trace
 from repro.trace.runtime import ambient_clock
 
@@ -131,7 +132,6 @@ class LsmioManager:
         self.burst_buffer = None
         if self.is_aggregator and env is not None:
             self._attach_burst_buffer(env)
-        self._apply_io_policy()
         if self.is_aggregator:
             self.store = LsmioStore(path, options=self.options, env=self._env)
             if self.collective:
@@ -142,7 +142,9 @@ class LsmioManager:
 
         The tier's device is kept on the options' burst-buffer config,
         so a restart that reuses the same options object reopens the
-        same (possibly dirty) device and runs journal recovery.
+        same (possibly dirty) device and runs journal recovery.  The
+        config's ``drain_bandwidth`` caps DRAIN-class bytes/s on the
+        backing client's scheduler (local-filesystem envs have none).
         """
         config = self.options.burst_buffer
         if config is None:
@@ -169,26 +171,11 @@ class LsmioManager:
             engine=engine,
         )
         self._env = self.burst_buffer.env
-
-    def _apply_io_policy(self) -> None:
-        """Push the options' admission policy onto the backing client.
-
-        Only meaningful when the env wraps a simulated Lustre client
-        (``SimLustreEnv``); local-filesystem envs have no scheduler and
-        the options are silently inert, like the other cluster knobs.
-        """
-        client = getattr(self._env, "client", None)
-        if client is None:
-            return
-        policy = self.options.io_policy
-        bandwidth = self.options.compaction_bandwidth
-        if policy is not None:
-            client.set_io_policy(policy, compaction_bandwidth=bandwidth)
-        elif bandwidth is not None:
-            client.scheduler.set_compaction_bandwidth(bandwidth)
-        bb = self.options.burst_buffer
-        if bb is not None and bb.drain_bandwidth is not None:
-            client.scheduler.set_drain_bandwidth(bb.drain_bandwidth)
+        client = getattr(env, "client", None)
+        if client is not None and config.drain_bandwidth is not None:
+            client.scheduler.set_class_bandwidth(
+                Priority.DRAIN, config.drain_bandwidth
+            )
 
     # ------------------------------------------------------------------
     # K/V API (Table 2)

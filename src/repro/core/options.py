@@ -51,17 +51,8 @@ class LsmioOptions:
     # ---------------------------------------------------------------------
 
     checksum: str | ChecksumType = ChecksumType.ZLIB_CRC32
-    bloom_bits_per_key: int = 10
     #: charge hook for modeled CPU cost under simulation (None = off)
     cpu_charge: Optional[object] = field(default=None, repr=False)
-
-    #: I/O admission policy applied to the backing client's scheduler
-    #: ("fifo" | "strict" | "drr"); None keeps the cluster's configured
-    #: policy (fifo by default — the bit-identical pass-through)
-    io_policy: Optional[str] = None
-    #: cap on COMPACTION-class bytes/s at the client (token bucket);
-    #: None keeps the cluster default, 0 disables throttling
-    compaction_bandwidth: Optional[float | str] = None
 
     #: L0 file counts where foreground writes slow down / park outright
     #: (only meaningful with ``enable_compaction``); None keeps the
@@ -94,21 +85,6 @@ class LsmioOptions:
             raise InvalidArgumentError("buffer and block size must be positive")
         if isinstance(self.checksum, str):
             self.checksum = ChecksumType(self.checksum)
-        if self.io_policy is not None and self.io_policy not in (
-            "fifo", "strict", "drr",
-        ):
-            raise InvalidArgumentError(
-                f"unknown io_policy {self.io_policy!r} "
-                "(expected fifo, strict, or drr)"
-            )
-        if self.compaction_bandwidth is not None:
-            self.compaction_bandwidth = float(
-                parse_size(self.compaction_bandwidth)
-            )
-            if self.compaction_bandwidth < 0:
-                raise InvalidArgumentError(
-                    "compaction_bandwidth must be >= 0"
-                )
         if self.max_subcompactions < 1:
             raise InvalidArgumentError("max_subcompactions must be >= 1")
         for name in (
@@ -149,7 +125,6 @@ class LsmioOptions:
             write_buffer_size=self.write_buffer_size,
             block_size=self.block_size,
             checksum=self.checksum,
-            bloom_bits_per_key=self.bloom_bits_per_key,
             cpu_charge=self.cpu_charge,
             **extra,
         )

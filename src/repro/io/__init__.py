@@ -14,7 +14,7 @@ write path.  Priority policies only reorder *admission* (whole
 requests); the per-RPC NIC/OSS/OST pipeline underneath is unchanged.
 """
 
-from repro.io.context import current_deadline, current_priority, io_priority
+from repro.io.context import current_priority, io_priority
 from repro.io.request import (
     BARRIER_CLASSES,
     NON_BARRIER_CLASSES,
@@ -45,7 +45,6 @@ __all__ = [
     "RateLimiter",
     "SchedulerStats",
     "StrictPriorityPolicy",
-    "current_deadline",
     "current_priority",
     "io_priority",
     "make_policy",

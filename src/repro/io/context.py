@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.io.request import Priority
 
@@ -29,33 +29,19 @@ def current_priority() -> Priority:
     return getattr(_TLS, "priority", Priority.FOREGROUND)
 
 
-def current_deadline() -> Optional[float]:
-    """The calling thread's ambient deadline (sim seconds), if any."""
-    return getattr(_TLS, "deadline", None)
-
-
 @contextmanager
-def io_priority(
-    priority: Priority, deadline: Optional[float] = None
-) -> Iterator[None]:
+def io_priority(priority: Priority) -> Iterator[None]:
     """Tag all client I/O issued inside the block with ``priority``.
 
     Nests: an inner block shadows the outer one and restores it on exit
     (a compaction that triggers a metadata op can tag just that op).
     """
-    prev_p = getattr(_TLS, "priority", None)
-    prev_d = getattr(_TLS, "deadline", None)
+    prev = getattr(_TLS, "priority", None)
     _TLS.priority = priority
-    _TLS.deadline = deadline
     try:
         yield
     finally:
-        if prev_p is None:
+        if prev is None:
             del _TLS.priority
         else:
-            _TLS.priority = prev_p
-        if prev_d is None:
-            if hasattr(_TLS, "deadline"):
-                del _TLS.deadline
-        else:
-            _TLS.deadline = prev_d
+            _TLS.priority = prev

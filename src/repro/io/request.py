@@ -98,12 +98,6 @@ class IoRequest:
     priority: Priority = Priority.FOREGROUND
     nbytes: int = 0
     ost: Optional[int] = None           #: admission-queue key (first OST)
-    deadline: Optional[float] = None    #: sim-time bound, advisory
-    owner: str = ""                     #: submitting span/process label
     seq: int = field(default_factory=lambda: next(_SEQ))
     submit_time: float = 0.0            #: stamped by the scheduler
     _gate: Any = field(default=None, repr=False)  #: park/grant event
-
-    @property
-    def class_name(self) -> str:
-        return self.priority.name.lower()

@@ -11,15 +11,15 @@ policies:
 
 ``strict``
     Strict priority: one request issues at a time per client; when the
-    slot frees, the highest class (FOREGROUND > METADATA > FLUSH >
-    COMPACTION) with a pending request wins, round-robin across OST
+    slot frees, the highest class (FOREGROUND > METADATA > FLUSH > DRAIN
+    > COMPACTION) with a pending request wins, round-robin across OST
     queues within the class.  Foreground latency is bounded by at most
     one in-service request, at the cost of starving compaction under
     sustained foreground load.
 
 ``drr``
     Deficit-weighted round-robin over the classes (byte-charged
-    quanta), starvation-free: compaction keeps a configurable share of
+    quanta), starvation-free: compaction keeps a fixed share of
     admission bandwidth instead of being locked out.
 
 Orthogonally, per-class token-bucket :class:`RateLimiter` instances cap
@@ -41,8 +41,7 @@ from collections import deque
 from typing import Callable, Dict, Optional
 
 from repro import sim
-from repro.errors import SimulationError
-from repro.io.context import current_deadline, current_priority
+from repro.io.context import current_priority
 from repro.io.request import IoRequest, Priority
 from repro.trace import runtime as _trace
 from repro.util.humanize import parse_size
@@ -60,14 +59,6 @@ _WAIT_KEYS = {cls: f"io.sched.wait.{cls}" for cls in _CLASS_NAMES.values()}
 _SERVICE_KEYS = {
     cls: f"io.sched.service.{cls}" for cls in _CLASS_NAMES.values()
 }
-
-
-def _owner_name() -> str:
-    """The submitting sim process's name (empty outside a process)."""
-    try:
-        return sim.current_process().name
-    except SimulationError:
-        return ""
 
 
 class SchedulerStats:
@@ -225,7 +216,7 @@ DEFAULT_DRR_WEIGHTS = {
 
 
 class DeficitRoundRobinPolicy(QueuePolicy):
-    """Classic DRR over the four classes, charged in request bytes.
+    """Classic DRR over the five classes, charged in request bytes.
 
     Each visit to a backlogged class tops up its deficit by
     ``quantum * weight``; the head request issues when its byte cost
@@ -285,13 +276,13 @@ class DeficitRoundRobinPolicy(QueuePolicy):
 POLICIES = ("fifo", "strict", "drr")
 
 
-def make_policy(name: str, drr_quantum: int = 1 << 20) -> QueuePolicy:
+def make_policy(name: str) -> QueuePolicy:
     if name == "fifo":
         return FifoPolicy()
     if name == "strict":
         return StrictPriorityPolicy()
     if name == "drr":
-        return DeficitRoundRobinPolicy(drr_quantum)
+        return DeficitRoundRobinPolicy()
     raise ValueError(f"unknown I/O policy {name!r} (expected one of {POLICIES})")
 
 
@@ -392,8 +383,6 @@ class IoScheduler:
         engine: sim.Engine,
         policy: str = "fifo",
         name: str = "sched",
-        compaction_bandwidth: Optional[float] = None,
-        drr_quantum: int = 1 << 20,
     ) -> None:
         self._engine = engine
         self.name = name
@@ -403,41 +392,19 @@ class IoScheduler:
         #: classes (DRAIN, COMPACTION) ever get an entry
         self._limiters: Dict[Priority, RateLimiter] = {}
         self._policy: QueuePolicy = FifoPolicy()
-        self.set_policy(
-            policy,
-            compaction_bandwidth=compaction_bandwidth,
-            drr_quantum=drr_quantum,
-        )
-
-    @property
-    def policy_name(self) -> str:
-        return self._policy.name
+        self.set_policy(policy)
 
     @property
     def queue_depth(self) -> int:
         return len(self._policy)
 
-    def set_policy(
-        self,
-        policy: str,
-        compaction_bandwidth: Optional[float] = None,
-        drr_quantum: int = 1 << 20,
-    ) -> None:
+    def set_policy(self, policy: str) -> None:
         """Swap the admission policy (only while the queues are idle)."""
         if self._active is not None or len(self._policy):
             raise RuntimeError(
                 "cannot change I/O policy with requests in flight"
             )
-        self._policy = make_policy(policy, drr_quantum)
-        if compaction_bandwidth is not None:
-            # 0 means "no throttle", matching the config convention.
-            self.set_compaction_bandwidth(compaction_bandwidth)
-
-    def set_compaction_bandwidth(self, rate: Optional[float | str]) -> None:
-        self.set_class_bandwidth(Priority.COMPACTION, rate)
-
-    def set_drain_bandwidth(self, rate: Optional[float | str]) -> None:
-        self.set_class_bandwidth(Priority.DRAIN, rate)
+        self._policy = make_policy(policy)
 
     def set_class_bandwidth(
         self, priority: Priority, rate: Optional[float | str]
@@ -505,8 +472,6 @@ class IoScheduler:
             priority=priority,
             nbytes=nbytes,
             ost=ost,
-            deadline=current_deadline(),
-            owner=_owner_name(),
             submit_time=sim.now(),
         )
         if self._active is None and not len(self._policy):

@@ -19,7 +19,10 @@ class IorConfig:
     contiguous region per segment, ``transfer_size`` (``-t``) the size of
     each I/O call, ``segment_count`` (``-s``) the number of repetitions of
     the rank-interleaved pattern.  The paper sets transfer = block
-    (§A.1.6) and one task per node.
+    (§A.1.6) and one task per node.  IOR's ``-e`` (fsync on close) and
+    ``-C`` (read rank+1's data to defeat locality) are always on, as in
+    the paper's runs; APIs with per-rank stores (lsmio, adios2 subfiles)
+    always read their own data.
     """
 
     api: str = "posix"
@@ -29,11 +32,7 @@ class IorConfig:
     segment_count: int = 1
     file_per_process: bool = False      # IOR -F
     collective: bool = False            # IOR -c
-    fsync_on_close: bool = True         # IOR -e
     read_back: bool = False             # IOR -r (after -w)
-    #: read rank+1's data to defeat locality (IOR -C); APIs with per-rank
-    #: stores (lsmio, adios2 subfiles) always read their own data
-    reorder_read: bool = True
     stripe_count: Optional[int] = None
     stripe_size: Optional[int | str] = None
     repetitions: int = 1                # paper: 10, max reported
@@ -41,11 +40,6 @@ class IorConfig:
     cb_buffer_size: int | str = "16M"
     #: extra parameters forwarded to the ADIOS2/plugin engines
     engine_params: dict = field(default_factory=dict)
-    #: per-rank I/O admission policy ("fifo" | "strict" | "drr");
-    #: None keeps the cluster's configured policy
-    io_policy: Optional[str] = None
-    #: cap on COMPACTION-class bytes/s per rank (None = cluster default)
-    compaction_bandwidth: Optional[float | str] = None
 
     def __post_init__(self) -> None:
         self.api = self.api.lower()
@@ -73,17 +67,6 @@ class IorConfig:
         if self.collective and self.api in ("adios2", "lsmio", "lsmio-plugin"):
             raise InvalidArgumentError(
                 f"IOR collective mode applies to posix/hdf5, not {self.api}"
-            )
-        if self.io_policy is not None and self.io_policy not in (
-            "fifo", "strict", "drr",
-        ):
-            raise InvalidArgumentError(
-                f"unknown io_policy {self.io_policy!r} "
-                "(expected fifo, strict, or drr)"
-            )
-        if self.compaction_bandwidth is not None:
-            self.compaction_bandwidth = float(
-                parse_size(self.compaction_bandwidth)
             )
 
     @property

@@ -80,13 +80,6 @@ def run_ior(
 
 def _rank_main(comm, config: IorConfig) -> dict:
     client = LustreClient(comm.world._cluster, comm.rank)
-    if config.io_policy is not None:
-        client.set_io_policy(
-            config.io_policy,
-            compaction_bandwidth=config.compaction_bandwidth,
-        )
-    elif config.compaction_bandwidth is not None:
-        client.scheduler.set_compaction_bandwidth(config.compaction_bandwidth)
     api = _APIS[config.api](config, comm, client)
 
     comm.barrier()
@@ -122,9 +115,7 @@ class _ApiDriver:
     @property
     def read_source_rank(self) -> int:
         """Which rank's data this rank reads back (IOR -C semantics)."""
-        if self.config.reorder_read and self.comm.size > 1:
-            return (self.rank + 1) % self.comm.size
-        return self.rank
+        return (self.rank + 1) % self.comm.size
 
     def write_phase(self) -> None:
         raise NotImplementedError
@@ -181,8 +172,7 @@ class _PosixDriver(_ApiDriver):
         else:
             for off in offsets:
                 fh.pwrite(off, config.transfer_size)
-        if config.fsync_on_close:
-            fh.fsync()
+        fh.fsync()
         fh.close()
 
     def read_phase(self) -> None:

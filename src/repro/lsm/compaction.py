@@ -290,6 +290,10 @@ class CompactionStats:
 #: queue bound of the real-Env flush pipeline (``DB._flush_job``)
 FLUSH_PIPELINE_BYTES = 8 << 20
 
+#: buffered output bytes per subcompaction before the merge loop blocks
+#: on the companion writer process (``DB._run_partitioned``)
+COMPACTION_PIPELINE_BYTES = 1 << 20
+
 #: a writer thread starts once a file has buffered this much (smaller
 #: files are written inline, in one write at ``sync``), then takes its
 #: work in batches of this size

@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.lsm.batch import WriteBatch
 from repro.lsm.cache import LRUCache
 from repro.lsm.compaction import (
+    COMPACTION_PIPELINE_BYTES,
     FLUSH_PIPELINE_BYTES,
     CompactionExecutor,
     CompactionPlan,
@@ -51,7 +52,13 @@ from repro.lsm.executors import Executor, SyncExecutor
 from repro.lsm.iterator import MergingIterator, resolve_user_entries
 from repro.lsm.manifest import FileMetaData, VersionEdit, VersionSet
 from repro.lsm.memtable import MemTable
-from repro.lsm.options import Options, ReadOptions, WriteOptions
+from repro.lsm.options import (
+    BLOCK_CACHE_CAPACITY,
+    MAX_OPEN_FILES,
+    Options,
+    ReadOptions,
+    WriteOptions,
+)
 from repro.lsm.pacing import CompactionPacer
 from repro.lsm.sstable import Table, TableBuilder
 from repro.lsm.wal import LogReader, LogWriter
@@ -160,6 +167,8 @@ class DB:
     #: before the parked write is admitted anyway (a hung compaction
     #: must degrade to slow writes, not an unbounded park)
     _STALL_MAX_STALE_POLLS = 256
+    #: recheck interval (seconds) while parked at the stop trigger
+    _STALL_POLL_INTERVAL = 1e-3
 
     def __init__(self) -> None:
         raise TypeError("use DB.open()")
@@ -201,8 +210,8 @@ class DB:
         self._wal: Optional[LogWriter] = None
         self._wal_number = 0
         self._obsolete_wals: list[int] = []
-        self._table_cache = LRUCache(self._options.max_open_files)
-        self._block_cache = LRUCache(self._options.block_cache_capacity)
+        self._table_cache = LRUCache(MAX_OPEN_FILES)
+        self._block_cache = LRUCache(BLOCK_CACHE_CAPACITY)
         self._mem_seed = 1
         self._snapshots: list[Snapshot] = []
         self._compacting = False
@@ -595,7 +604,7 @@ class DB:
         a long bandwidth-capped merge keeps the park alive as long as
         its RPCs keep flowing.
         """
-        poll = self._options.stall_poll_interval
+        poll = self._STALL_POLL_INTERVAL
         sched = getattr(self._io_sched, "stats", None)
 
         def marker():
@@ -830,7 +839,7 @@ class DB:
             dest = PipelinedTableFile(
                 self._env.new_writable_file(path),
                 engine=self._sim_engine(),
-                limit=self._options.compaction_pipeline_bytes,
+                limit=COMPACTION_PIPELINE_BYTES,
                 cpu_charge=self._options.cpu_charge,
                 stats=self.compaction_stats,
             )

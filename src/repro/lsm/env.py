@@ -24,60 +24,6 @@ import threading
 from repro.errors import NotFoundError, StorageIOError
 
 
-class BufferPool:
-    """Reusable ``bytearray`` scratch buffers for serialization hot paths.
-
-    The write path (WAL framing, block/table building, batch encoding)
-    repeatedly needs a growable byte buffer that is filled, consumed, and
-    discarded.  Allocating a fresh ``bytearray`` each time forfeits the
-    capacity the previous round already grew; the pool hands buffers back
-    out with their allocation intact (``del buf[:]`` keeps capacity in
-    CPython), so steady-state serialization does no reallocation at all.
-
-    Buffers are plain bytearrays — callers own them completely between
-    :meth:`acquire` and :meth:`release`, and forgetting to release is
-    harmless (the buffer is simply garbage-collected).
-    """
-
-    def __init__(self, max_pooled: int = 8, max_buffer_bytes: int = 64 << 20):
-        self._free: list[bytearray] = []
-        self._max_pooled = max_pooled
-        self._max_buffer_bytes = max_buffer_bytes
-        self._lock = threading.Lock()
-        self.acquires = 0
-        self.reuses = 0
-
-    def acquire(self) -> bytearray:
-        """Return an empty bytearray (capacity retained from prior use)."""
-        with self._lock:
-            self.acquires += 1
-            if self._free:
-                self.reuses += 1
-                return self._free.pop()
-        return bytearray()
-
-    def release(self, buf: bytearray) -> None:
-        """Hand ``buf`` back; it is cleared but keeps its allocation."""
-        try:
-            del buf[:]
-        except BufferError:
-            return  # an exported memoryview still pins it; drop it
-        with self._lock:
-            if (
-                len(self._free) < self._max_pooled
-                and buf.__sizeof__() <= self._max_buffer_bytes
-            ):
-                self._free.append(buf)
-
-
-_DEFAULT_POOL = BufferPool()
-
-
-def default_buffer_pool() -> BufferPool:
-    """The process-wide pool shared by WAL and table writers."""
-    return _DEFAULT_POOL
-
-
 class WritableFile:
     """Append-only output file."""
 

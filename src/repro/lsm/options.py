@@ -69,6 +69,18 @@ class ChecksumType(enum.Enum):
         return lambda data, crc=0: 0
 
 
+#: LRU block-cache budget in bytes (used when ``enable_block_cache``)
+BLOCK_CACHE_CAPACITY = 64 << 20
+#: open-table LRU size (LevelDB's ``max_open_files``)
+MAX_OPEN_FILES = 1000
+#: bloom-filter bits per user key (~1 % false positives)
+BLOOM_BITS_PER_KEY = 10
+#: L1 byte budget; each deeper level gets ``MAX_BYTES_FOR_LEVEL_MULTIPLIER``
+#: times the one above (LevelDB defaults)
+MAX_BYTES_FOR_LEVEL_BASE = 256 << 20
+MAX_BYTES_FOR_LEVEL_MULTIPLIER = 10
+
+
 @dataclass
 class Options:
     """Database-wide options (a Python rendering of ``rocksdb::Options``)."""
@@ -87,9 +99,6 @@ class Options:
     # --------------------------------------------------------------------
 
     block_restart_interval: int = 16
-    block_cache_capacity: int = 64 << 20
-    max_open_files: int = 1000
-    bloom_bits_per_key: int = 10
     checksum: ChecksumType = ChecksumType.ZLIB_CRC32
 
     # Compaction geometry (LevelDB defaults).
@@ -97,25 +106,20 @@ class Options:
     level0_file_num_compaction_trigger: int = 4
     level0_slowdown_writes_trigger: int = 8
     level0_stop_writes_trigger: int = 12
-    max_bytes_for_level_base: int = 256 << 20
-    max_bytes_for_level_multiplier: int = 10
     target_file_size_base: int = 64 << 20
 
     # --- subcompaction / stall control ---------------------------------
     #: maximum key-range partitions one compaction may run concurrently
-    #: (RocksDB's ``max_subcompactions``); 1 = the serial merge.  The
-    #: partition *boundaries* are fan-out independent, so any value
-    #: produces byte-identical outputs — this only caps concurrency.
+    #: (RocksDB's ``max_subcompactions``).  The partition *boundaries*
+    #: are fan-out independent, so any value produces byte-identical
+    #: outputs — this only caps concurrency; a plan with boundaries takes
+    #: the partitioned path even at 1, where its ranges run one by one.
     max_subcompactions: int = 1
     #: seal a subcompaction output early once it overlaps more than this
     #: many grandparent bytes (0 = 10 x ``target_file_size_base``, the
     #: LevelDB ``ShouldStopBefore`` ratio) — bounds any future merge of
     #: that output into the grandparent level.
     max_grandparent_overlap_bytes: int = 0
-    #: buffered output bytes per subcompaction before the merge loop
-    #: blocks on the companion writer process (0 disables the CPU/I-O
-    #: pipeline: appends happen inline on the merge process).
-    compaction_pipeline_bytes: int = 1 << 20
     #: smooth stall-aware pacing: ramp a foreground write delay and boost
     #: the compaction rate limiter with L0/debt pressure instead of
     #: slamming into the slowdown/stop triggers.
@@ -123,8 +127,6 @@ class Options:
     #: foreground delay (seconds) applied per write at full slowdown
     #: pressure; the pacer ramps quadratically up to this from zero.
     slowdown_delay: float = 1e-3
-    #: recheck interval while parked at the stop trigger.
-    stall_poll_interval: float = 1e-3
 
     # Hook charged with (nbytes, kind) for modeled CPU cost when running
     # under the discrete-event simulation; None outside the sim.
@@ -135,8 +137,6 @@ class Options:
     def __post_init__(self) -> None:
         self.write_buffer_size = parse_size(self.write_buffer_size)
         self.block_size = parse_size(self.block_size)
-        self.block_cache_capacity = parse_size(self.block_cache_capacity)
-        self.max_bytes_for_level_base = parse_size(self.max_bytes_for_level_base)
         self.target_file_size_base = parse_size(self.target_file_size_base)
         if isinstance(self.compression, str):
             self.compression = CompressionType[self.compression.upper()]
@@ -153,9 +153,6 @@ class Options:
         self.max_grandparent_overlap_bytes = parse_size(
             self.max_grandparent_overlap_bytes
         )
-        self.compaction_pipeline_bytes = parse_size(
-            self.compaction_pipeline_bytes
-        )
         if self.max_subcompactions < 1:
             raise InvalidArgumentError("max_subcompactions must be >= 1")
         if not (
@@ -168,17 +165,15 @@ class Options:
                 "level0 triggers must satisfy "
                 "0 < compaction <= slowdown <= stop"
             )
-        if self.slowdown_delay < 0 or self.stall_poll_interval <= 0:
-            raise InvalidArgumentError(
-                "slowdown_delay must be >= 0 and stall_poll_interval > 0"
-            )
+        if self.slowdown_delay < 0:
+            raise InvalidArgumentError("slowdown_delay must be >= 0")
 
     def max_bytes_for_level(self, level: int) -> float:
         """Size budget for ``level`` (L1 = base, ×multiplier per level)."""
         if level < 1:
             raise InvalidArgumentError("levels below 1 have no byte budget")
-        return self.max_bytes_for_level_base * (
-            self.max_bytes_for_level_multiplier ** (level - 1)
+        return MAX_BYTES_FOR_LEVEL_BASE * (
+            MAX_BYTES_FOR_LEVEL_MULTIPLIER ** (level - 1)
         )
 
 

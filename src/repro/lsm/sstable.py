@@ -37,7 +37,13 @@ from repro.lsm.dbformat import (
     internal_key_user_key,
 )
 from repro.lsm.env import RandomAccessFile, WritableFile
-from repro.lsm.options import ChecksumType, CompressionType, Options, ReadOptions
+from repro.lsm.options import (
+    BLOOM_BITS_PER_KEY,
+    ChecksumType,
+    CompressionType,
+    Options,
+    ReadOptions,
+)
 from repro.util.varint import (
     decode_varint64,
     encode_varint64,
@@ -206,7 +212,7 @@ class TableBuilder:
         self._finished = True
 
         # Meta blocks are stored uncompressed: they are read once at open.
-        bloom = BloomFilter.build(self._user_keys, self._options.bloom_bits_per_key)
+        bloom = BloomFilter.build(self._user_keys, BLOOM_BITS_PER_KEY)
         filter_handle = self._write_raw_block(bloom.encode(), CompressionType.NONE)
         properties = {
             "num_entries": self._num_entries,

@@ -111,20 +111,18 @@ class LustreClient:
         # All data/metadata ops are admitted through the per-client
         # scheduler; the default "fifo" policy is an inline pass-through.
         self.scheduler = IoScheduler(
-            cluster.engine,
-            policy=config.io_policy,
-            name=f"client{client_id}",
-            compaction_bandwidth=config.io_compaction_bandwidth,
-            drr_quantum=config.io_drr_quantum,
+            cluster.engine, policy=config.io_policy, name=f"client{client_id}"
         )
+        if config.io_compaction_bandwidth is not None:
+            self.scheduler.set_class_bandwidth(
+                Priority.COMPACTION, config.io_compaction_bandwidth
+            )
         cluster.client_stats.append(self.stats)
         # Client-side metadata cache (off by default; enabling registers
         # this client for the cluster's invalidation broadcast).
         self._md_cache: Optional[MetadataCache] = None
         if config.md_cache:
-            self._md_cache = MetadataCache(
-                capacity=config.md_cache_capacity, ttl=config.md_cache_ttl
-            )
+            self._md_cache = MetadataCache(ttl=config.md_cache_ttl)
             cluster._md_caches.append(self._md_cache)
         metrics = _trace.METRICS
         if metrics is not None:
@@ -150,20 +148,6 @@ class LustreClient:
                     else 0.0
                 ),
             )
-
-    def set_io_policy(
-        self,
-        policy: str,
-        compaction_bandwidth: "Optional[float]" = None,
-        drr_quantum: Optional[int] = None,
-    ) -> None:
-        """Override the admission policy for this client (idle only)."""
-        kwargs = {}
-        if drr_quantum is not None:
-            kwargs["drr_quantum"] = drr_quantum
-        self.scheduler.set_policy(
-            policy, compaction_bandwidth=compaction_bandwidth, **kwargs
-        )
 
     # ------------------------------------------------------------------
     # Namespace operations (charge the MDS)
@@ -677,7 +661,3 @@ class LustreClient:
         self._last_arrival = arrival
         if arrival > now:
             yield arrival - now
-
-    @property
-    def outstanding_writes(self) -> int:
-        return sum(1 for proc in self._outstanding if proc.alive)

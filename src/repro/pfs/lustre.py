@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro import sim
 from repro.errors import InvalidArgumentError, NotFoundError
+from repro.io.scheduler import POLICIES
 from repro.pfs.disk import DiskProfile, HDDProfile
 from repro.pfs.layout import StripeLayout
 from repro.pfs.mds import MdsShardGroup
@@ -44,7 +45,6 @@ class LustreConfig:
     #: so the default config replays existing schedules bit-identically
     md_cache: bool = False
     md_cache_ttl: float = 5.0
-    md_cache_capacity: int = 4096
     default_stripe_size: int | str = "1M"
     default_stripe_count: int = 4
     #: Lustre client max RPC size (osc.max_pages_per_rpc * page size)
@@ -81,8 +81,6 @@ class LustreConfig:
     #: cap on COMPACTION-class bytes/s per client (token bucket); None
     #: or 0 disables throttling
     io_compaction_bandwidth: Optional[float | str] = None
-    #: DRR byte quantum per class visit (only used when io_policy="drr")
-    io_drr_quantum: int | str = "1M"
 
     def __post_init__(self) -> None:
         self.oss_bandwidth = float(parse_size(self.oss_bandwidth))
@@ -99,16 +97,16 @@ class LustreConfig:
             raise InvalidArgumentError("need at least one MDS shard")
         if self.mds_cost_scale <= 0:
             raise InvalidArgumentError("mds_cost_scale must be > 0")
-        if self.md_cache_ttl <= 0 or self.md_cache_capacity < 1:
-            raise InvalidArgumentError("bad metadata-cache parameters")
+        if self.md_cache_ttl <= 0:
+            raise InvalidArgumentError("md_cache_ttl must be > 0")
         if min(
             self.rpc_backoff_base, self.rpc_backoff_max, self.rpc_backoff_jitter
         ) < 0:
             raise InvalidArgumentError("backoff parameters must be >= 0")
-        if self.io_policy not in ("fifo", "strict", "drr"):
+        if self.io_policy not in POLICIES:
             raise InvalidArgumentError(
                 f"unknown io_policy {self.io_policy!r} "
-                "(expected fifo, strict, or drr)"
+                f"(expected one of {POLICIES})"
             )
         if self.io_compaction_bandwidth is not None:
             self.io_compaction_bandwidth = float(
@@ -120,9 +118,6 @@ class LustreConfig:
                 )
             if self.io_compaction_bandwidth == 0:
                 self.io_compaction_bandwidth = None
-        self.io_drr_quantum = parse_size(self.io_drr_quantum)
-        if self.io_drr_quantum < 1:
-            raise InvalidArgumentError("io_drr_quantum must be >= 1 byte")
 
 
 #: Upper bound on the bytes the shared zero buffers may hold.  Data-less

@@ -168,16 +168,6 @@ class TestDegradationLadder:
 
         run_sim(main)
 
-    def test_overflow_raises_when_degradation_disabled(self):
-        def main():
-            tier = make_tier(capacity="64K", degrade_on_overflow=False)
-            out = tier.env.new_writable_file("big")
-            out.append(b"z" * (256 << 10))
-            with pytest.raises(StorageIOError):
-                out.close()
-
-        run_sim(main)
-
     def test_partially_absorbed_file_migrates_whole(self):
         """Overflow mid-file: the already-absorbed prefix moves to the
         base env together with the pending bytes — no torn files."""

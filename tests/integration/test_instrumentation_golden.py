@@ -36,10 +36,11 @@ TELEMETRY_SHA256 = (
 
 def _options(rank: int) -> tuple[LsmioOptions, dict]:
     if rank == 0:  # WAL + compaction with low L0 triggers: writers stall
+        # (its client admits I/O under DRR; see _job)
         return LsmioOptions(
             write_buffer_size="8K", enable_wal=True, enable_compaction=True,
             level0_slowdown_writes_trigger=4, level0_stop_writes_trigger=5,
-            compaction_pacing=True, io_policy="drr",
+            compaction_pacing=True,
         ), {}
     if rank == 1:  # burst-buffer tier between the store and the PFS
         return LsmioOptions(
@@ -55,6 +56,8 @@ def _job(comm):
         extra["comm"] = comm
     path = f"g.lsmio/rank{comm.rank}" if comm.rank < 2 else "g.lsmio/coll"
     client = LustreClient(comm.world._cluster, comm.rank)
+    if comm.rank == 0:
+        client.scheduler.set_policy("drr")
     manager = LsmioManager(path, options=options, env=SimLustreEnv(client), **extra)
     for i in range(96):
         manager.put(f"k{comm.rank}{i:04d}", bytes([i % 251]) * 1024)

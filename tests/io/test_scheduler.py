@@ -230,9 +230,8 @@ class TestScheduler:
     def test_compaction_rate_limit_paces_submissions(self):
         with sim.Engine() as engine:
             # FIFO + limiter: throttling applies even to the inline path.
-            sched = IoScheduler(
-                engine, policy="fifo", compaction_bandwidth=float(1 << 20)
-            )
+            sched = IoScheduler(engine, policy="fifo")
+            sched.set_class_bandwidth(Priority.COMPACTION, float(1 << 20))
 
             def main():
                 with io_priority(Priority.COMPACTION):
@@ -249,9 +248,8 @@ class TestScheduler:
 
     def test_foreground_not_throttled(self):
         with sim.Engine() as engine:
-            sched = IoScheduler(
-                engine, policy="fifo", compaction_bandwidth=float(1 << 20)
-            )
+            sched = IoScheduler(engine, policy="fifo")
+            sched.set_class_bandwidth(Priority.COMPACTION, float(1 << 20))
 
             def main():
                 for _ in range(8):
@@ -279,17 +277,17 @@ class TestScheduler:
     def test_compaction_bandwidth_accepts_size_strings(self):
         with sim.Engine() as engine:
             sched = IoScheduler(engine, policy="strict")
-            sched.set_compaction_bandwidth("8M")
+            sched.set_class_bandwidth(Priority.COMPACTION, "8M")
             limiter = sched._limiters[Priority.COMPACTION]
             assert limiter.rate == float(8 << 20)
-            sched.set_policy("fifo", compaction_bandwidth="0")
+            sched.set_class_bandwidth(Priority.COMPACTION, "0")
             # "0" disables, like 0
             assert Priority.COMPACTION not in sched._limiters
 
     def test_drain_rate_limit_paces_submissions(self):
         with sim.Engine() as engine:
             sched = IoScheduler(engine, policy="fifo")
-            sched.set_drain_bandwidth(float(1 << 20))
+            sched.set_class_bandwidth(Priority.DRAIN, float(1 << 20))
 
             def main():
                 with io_priority(Priority.DRAIN):
@@ -306,8 +304,8 @@ class TestScheduler:
     def test_drain_and_compaction_buckets_are_independent(self):
         with sim.Engine() as engine:
             sched = IoScheduler(engine, policy="fifo")
-            sched.set_drain_bandwidth(float(1 << 20))
-            sched.set_compaction_bandwidth(float(1 << 20))
+            sched.set_class_bandwidth(Priority.DRAIN, float(1 << 20))
+            sched.set_class_bandwidth(Priority.COMPACTION, float(1 << 20))
 
             def main():
                 # each class gets its own 4 MiB burst: neither throttles

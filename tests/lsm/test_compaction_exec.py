@@ -158,7 +158,7 @@ class TestSchedulerRoutedCompaction:
             cluster = LustreCluster(engine, small_test_cluster())
             client = LustreClient(cluster, 0)
             if policy != "fifo":
-                client.set_io_policy(policy)
+                client.scheduler.set_policy(policy)
             env = SimLustreEnv(client)
 
             def main():

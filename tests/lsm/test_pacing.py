@@ -119,7 +119,8 @@ class TestDbStallCounters:
     """Foreground writes hit the slowdown band and the bounded stop park
     when compaction cannot keep up (here: pinned off via _compacting)."""
 
-    def test_slowdown_and_stop_paths_fire_without_deadlock(self):
+    def test_slowdown_and_stop_paths_fire_without_deadlock(self, monkeypatch):
+        monkeypatch.setattr(DB, "_STALL_POLL_INTERVAL", 1e-6)
         env = MemEnv()
         options = Options(
             write_buffer_size=256,
@@ -129,7 +130,6 @@ class TestDbStallCounters:
             enable_compaction=True,
             compaction_pacing=True,
             slowdown_delay=1e-5,
-            stall_poll_interval=1e-6,
         )
         db = DB.open("db", options=options, env=env)
         try:
