@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.errors import ClosedError, InvalidArgumentError
+from repro.errors import ClosedError, InvalidArgumentError, SimulationError
 from repro.io import BARRIER_CLASSES
 from repro.lsm.batch import WriteBatch
 from repro.lsm.db import DB
@@ -37,13 +37,14 @@ def _default_executor(options: LsmioOptions) -> Executor:
     """
     if options.sync_writes:
         return SyncExecutor()
-    try:
-        from repro import sim
-        from repro.sim.executor import SimExecutor
+    from repro import sim
+    from repro.sim.executor import SimExecutor
 
-        return SimExecutor(sim.current_engine())
-    except Exception:
+    try:
+        engine = sim.current_engine()
+    except SimulationError:
         return ThreadExecutor()
+    return SimExecutor(engine)
 
 
 class LsmioStore:

@@ -3,8 +3,9 @@
 This package is a from-scratch reimplementation of the LevelDB/RocksDB
 architecture that the paper's LSMIO library builds on (§2.2, §3.1.1):
 
-- an in-memory **MemTable** (the C0 tree) backed by a skiplist
-  (:mod:`repro.lsm.skiplist`, :mod:`repro.lsm.memtable`);
+- an in-memory **MemTable** (the C0 tree): one list kept in internal-key
+  order, appended to by ascending checkpoint keys and bisected otherwise
+  (:mod:`repro.lsm.memtable`);
 - an optional **write-ahead log** with LevelDB's exact record framing
   (:mod:`repro.lsm.wal`);
 - immutable on-disk **SSTables** (the C1..Ck trees) with prefix-compressed

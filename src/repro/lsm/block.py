@@ -36,12 +36,8 @@ def _shared_prefix_len(a: bytes, b: bytes) -> int:
     return i
 
 
-def _bytewise_compare(a: bytes, b: bytes) -> int:
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
+def _bytewise(key: bytes) -> bytes:
+    return key
 
 
 #: values at least this large are kept as whole segments instead of being
@@ -53,10 +49,10 @@ LARGE_VALUE_BYTES = 4096
 class BlockBuilder:
     """Accumulates sorted entries into one serialized block.
 
-    ``compare`` is a three-way comparator over the keys being stored; data
-    blocks hold *internal* keys (which do not sort bytewise — the sequence
-    trailer sorts descending) so the table layer passes
-    :func:`repro.lsm.dbformat.internal_compare`.
+    ``key`` maps a stored key to the value it sorts by (bytewise when
+    omitted); data and index blocks hold *internal* keys, which do not sort
+    bytewise — the sequence trailer sorts descending — so the table layer
+    passes :func:`repro.lsm.dbformat.sort_key`.
 
     Large ``bytes`` values are held by reference as standalone segments
     (``_parts``) rather than copied into the working buffer; consumers on
@@ -64,11 +60,11 @@ class BlockBuilder:
     out in order, producing the identical byte layout.
     """
 
-    def __init__(self, restart_interval: int = 16, compare=None):
+    def __init__(self, restart_interval: int = 16, key=None):
         if restart_interval < 1:
             raise ValueError("restart_interval must be >= 1")
         self._restart_interval = restart_interval
-        self._compare = compare if compare is not None else _bytewise_compare
+        self._key = key or _bytewise
         self.reset()
 
     def reset(self) -> None:
@@ -87,11 +83,13 @@ class BlockBuilder:
         self._restarts = [0]
         self._counter = 0
         self._last_key = b""
+        self._last_order = None
         self._num_entries = 0
 
     def add(self, key: bytes, value: bytes) -> None:
         """Append an entry; keys must arrive in strictly increasing order."""
-        if self._num_entries and self._compare(key, self._last_key) <= 0:
+        order = self._key(key)
+        if self._num_entries and order <= self._last_order:
             raise ValueError("block entries must be added in sorted order")
         buf = self._buf
         if self._counter < self._restart_interval:
@@ -116,6 +114,7 @@ class BlockBuilder:
         else:
             buf += value
         self._last_key = key
+        self._last_order = order
         self._counter += 1
         self._num_entries += 1
 
@@ -180,13 +179,13 @@ class Block:
     The restart array is parsed and validated once, at construction.
     """
 
-    def __init__(self, data: bytes, compare=None):
+    def __init__(self, data: bytes, key=None):
         if not isinstance(data, bytes):
             data = bytes(data)  # accept builder views; reads need bytes
         if len(data) < 4:
             raise CorruptionError("block too small")
         self._data = data
-        self._compare = compare if compare is not None else _bytewise_compare
+        self._key = key or _bytewise
         num_restarts = decode_fixed32(data, len(data) - 4)
         restarts_off = len(data) - 4 - 4 * num_restarts
         if restarts_off < 0:
@@ -236,22 +235,26 @@ class Block:
         """Yield entries with key >= ``target``.
 
         Binary search over restart points, then a linear scan of at most
-        one restart interval.  Ordering is defined by the block's
-        comparator.
+        one restart interval.  Ordering is by the block's ``key``.
         """
         if self._limit == 0:
             return
+        order = self._key
+        target = order(target)
         lo, hi = 0, len(self._restarts) - 1
         # Find the last restart whose key < target.
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self._compare(self._restart_key(mid), target) < 0:
+            if order(self._restart_key(mid)) < target:
                 lo = mid
             else:
                 hi = mid - 1
-        for key, value in self.iterate(self._restarts[lo]):
-            if self._compare(key, target) >= 0:
+        entries = self.iterate(self._restarts[lo])
+        for key, value in entries:
+            if order(key) >= target:
                 yield key, value
+                break
+        yield from entries  # sorted: everything after the first match
 
     def first_key(self) -> Optional[bytes]:
         if self._limit == 0:

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Iterator, Optional
 
 from repro.errors import (
     ClosedError,
     InvalidArgumentError,
     NotFoundError,
+    SimulationError,
 )
 from repro.lsm.batch import WriteBatch
 from repro.lsm.cache import LRUCache
@@ -43,14 +44,18 @@ from repro.lsm.compaction import (
 from repro.lsm.dbformat import (
     MAX_SEQUENCE,
     ValueType,
-    decode_internal_key,
+    internal_key_user_key,
     seek_key,
 )
 from repro.io import Priority, io_priority
 from repro.lsm.env import Env, LocalFsEnv
 from repro.lsm.executors import Executor, SyncExecutor
-from repro.lsm.iterator import MergingIterator, resolve_user_entries
-from repro.lsm.manifest import FileMetaData, VersionEdit, VersionSet
+from repro.lsm.iterator import (
+    MergingIterator,
+    resolve_user_entries,
+    resolve_versions,
+)
+from repro.lsm.manifest import FileMetaData, Version, VersionEdit, VersionSet
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import (
     BLOCK_CACHE_CAPACITY,
@@ -205,14 +210,13 @@ class DB:
         self._queue_lock = AdaptiveRLock()
         self._group_batch = WriteBatch()  # leader-only scratch
         self._wal_scratch = bytearray()  # leader-only WAL encode buffer
-        self._mem = MemTable(seed=0)
+        self._mem = MemTable()
         self._imm: list[MemTable] = []
         self._wal: Optional[LogWriter] = None
         self._wal_number = 0
         self._obsolete_wals: list[int] = []
         self._table_cache = LRUCache(MAX_OPEN_FILES)
         self._block_cache = LRUCache(BLOCK_CACHE_CAPACITY)
-        self._mem_seed = 1
         self._snapshots: list[Snapshot] = []
         self._compacting = False
         self.compaction_stats = CompactionStats()
@@ -490,18 +494,6 @@ class DB:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _stall_clock() -> float:
-        from repro.sim.locks import _current_sim_process
-
-        if _current_sim_process() is not None:
-            from repro import sim
-
-            return sim.now()
-        import time
-
-        return time.monotonic()
-
-    @staticmethod
     def _stall_sleep(seconds: float) -> None:
         from repro.sim.locks import _current_sim_process
 
@@ -558,12 +550,12 @@ class DB:
         stats = self.compaction_stats
         if l0 >= stop:
             stats.stop_writes += 1
-            start = self._stall_clock()
+            start = _trace.ambient_clock()
             with _trace.probe("lsm", "write_stop", "lsm.stall", l0=l0):
                 try:
                     self._wait_for_compaction_progress(stop)
                 finally:
-                    stats.stall_time += self._stall_clock() - start
+                    stats.stall_time += _trace.ambient_clock() - start
             l0 = self._pending_l0()
             if pacer is not None:
                 pacer.observe(self._versions.current, len(self._imm))
@@ -664,8 +656,7 @@ class DB:
                 nbytes=frozen.approximate_memory_usage(),
                 frozen=len(self._imm),
             )
-        self._mem = MemTable(seed=self._mem_seed)
-        self._mem_seed += 1
+        self._mem = MemTable()
         min_log = None
         if roll_wal:
             self._roll_wal()
@@ -789,11 +780,11 @@ class DB:
     @staticmethod
     def _sim_engine():
         """The ambient sim engine, or None outside the simulation."""
-        try:
-            from repro import sim
+        from repro import sim
 
+        try:
             return sim.current_engine()
-        except Exception:
+        except SimulationError:
             return None
 
     def _index_user_keys(self, meta: FileMetaData) -> Optional[list]:
@@ -1041,67 +1032,37 @@ class DB:
             self.stats.gets += 1
             memtables = [self._mem] + list(reversed(self._imm))
             version = self._versions.current
+        versions = self._versions_of(key, memtables, version, read_options, max_seq)
+        resolved = resolve_versions(versions, max_seq)
+        if resolved is None or resolved[0] is ValueType.DELETE:
+            raise NotFoundError(f"key not found: {key!r}")
+        return resolved[1]
 
-        operands: list[bytes] = []  # newest-first merge operands
+    def _versions_of(
+        self,
+        key: bytes,
+        memtables: list[MemTable],
+        version: Version,
+        read_options: ReadOptions,
+        max_seq: int,
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """``key``'s versions newest first, read lazily source by source.
+
+        Memtables come first, then the tables ``files_for_get`` names; a
+        table whose bloom filter rules ``key`` out is never searched, and
+        no later source is touched once the resolver has its answer.
+        """
+
+        def same_key(entry: tuple[bytes, bytes]) -> bool:
+            return internal_key_user_key(entry[0]) == key
+
+        target = seek_key(key, max_seq)
         for mem in memtables:
-            result = mem.get(key, max_sequence=max_seq)
-            if result.state == "found":
-                if operands:
-                    return result.value + b"".join(reversed(operands))
-                return result.value
-            if result.state == "deleted":
-                if operands:
-                    return b"".join(reversed(operands))
-                raise NotFoundError(f"key not found: {key!r}")
-            if result.state == "merge":
-                # memtable returned operands oldest→newest; we accumulate
-                # newest-first, so extend with them reversed.
-                operands.extend(reversed(result.operands))
-
+            yield from takewhile(same_key, mem.seek(target))
         for _, meta in version.files_for_get(key):
             table = self._table(meta.number)
-            if not table.may_contain(key):
-                continue
-            outcome = self._search_table(
-                table, key, operands, read_options, max_seq
-            )
-            if outcome is not None:
-                state, value = outcome
-                if state == "found":
-                    return value
-                raise NotFoundError(f"key not found: {key!r}")
-
-        if operands:
-            return b"".join(reversed(operands))
-        raise NotFoundError(f"key not found: {key!r}")
-
-    def _search_table(
-        self,
-        table: Table,
-        user_key: bytes,
-        operands: list[bytes],
-        read_options: ReadOptions,
-        max_seq: int = MAX_SEQUENCE,
-    ) -> Optional[tuple[str, bytes]]:
-        """Scan one table's version chain for ``user_key``.
-
-        Mutates ``operands`` (newest-first accumulator).  Returns
-        ("found", value) / ("deleted", b"") to terminate, or None to
-        continue into older tables.
-        """
-        for ikey, value in table.seek(seek_key(user_key, max_seq), read_options):
-            parsed = decode_internal_key(ikey)
-            if parsed.user_key != user_key:
-                break
-            if parsed.value_type is ValueType.VALUE:
-                full = value + b"".join(reversed(operands)) if operands else value
-                return ("found", full)
-            if parsed.value_type is ValueType.DELETE:
-                if operands:
-                    return ("found", b"".join(reversed(operands)))
-                return ("deleted", b"")
-            operands.append(value)
-        return None
+            if table.may_contain(key):
+                yield from takewhile(same_key, table.seek(target, read_options))
 
     def __contains__(self, key: bytes) -> bool:
         try:
@@ -1139,13 +1100,7 @@ class DB:
                 streams.append(self._level_stream(files, lo_ikey, read_options))
 
         merged = MergingIterator(streams)
-        if max_seq != MAX_SEQUENCE:
-            merged = (
-                (ikey, value)
-                for ikey, value in merged
-                if decode_internal_key(ikey).sequence <= max_seq
-            )
-        for key, value in resolve_user_entries(merged, stop_after_user_key=stop):
+        for key, value in resolve_user_entries(merged, stop, max_seq):
             if start is not None and key < start:
                 continue
             if stop is not None and key > stop:

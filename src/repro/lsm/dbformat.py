@@ -3,7 +3,8 @@
 An *internal key* is the user key followed by an 8-byte trailer packing
 ``(sequence << 8) | value_type`` (LevelDB's layout).  Ordering is user key
 ascending, then sequence **descending**, so the newest version of a key is
-encountered first during forward iteration.
+encountered first during forward iteration; :func:`sort_key` is the one
+place that order is defined.
 
 Value types:
 
@@ -81,48 +82,16 @@ def internal_key_user_key(ikey: bytes) -> bytes:
     return bytes(ikey[:-8])
 
 
-def internal_compare(a: bytes, b: bytes) -> int:
-    """Three-way comparison of encoded internal keys.
+def sort_key(ikey: bytes) -> tuple[bytes, int]:
+    """The one definition of internal-key order, as a tuple sort key.
 
-    User key ascending, then sequence descending, then type descending
-    (the trailer packs both, so one descending integer compare suffices).
+    User key ascending, then trailer descending: the trailer packs
+    ``(sequence << 8) | type``, so inverting it puts newer versions (and,
+    at one sequence, greater types) first under plain tuple ordering.
     """
-    ua, ub = a[:-8], b[:-8]
-    if ua < ub:
-        return -1
-    if ua > ub:
-        return 1
-    ta = decode_fixed64(a, len(a) - 8)
-    tb = decode_fixed64(b, len(b) - 8)
-    if ta > tb:  # larger trailer = newer = sorts FIRST
-        return -1
-    if ta < tb:
-        return 1
-    return 0
-
-
-class InternalKeyComparator:
-    """Comparator object for containers ordered by internal key."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def compare(a: bytes, b: bytes) -> int:
-        return internal_compare(a, b)
-
-    @staticmethod
-    def less(a: bytes, b: bytes) -> bool:
-        return internal_compare(a, b) < 0
-
-    @staticmethod
-    def sort_key(ikey: bytes):
-        """A key function compatible with :func:`sorted`.
-
-        Inverts the trailer so plain tuple ordering reproduces
-        :func:`internal_compare`.
-        """
-        user_key = internal_key_user_key(ikey)
-        return (user_key, -decode_fixed64(ikey, len(ikey) - 8))
+    if len(ikey) < 8:
+        raise CorruptionError(f"internal key too short: {len(ikey)} bytes")
+    return (bytes(ikey[:-8]), -decode_fixed64(ikey, len(ikey) - 8))
 
 
 def seek_key(user_key: bytes, sequence: int = MAX_SEQUENCE) -> bytes:

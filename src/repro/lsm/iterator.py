@@ -4,120 +4,129 @@ Reading an LSM-tree is "a way similar to a merge sort" (§2.2): the
 memtable, every L0 file, and one file per deeper level each provide a
 sorted stream of internal entries; :class:`MergingIterator` interleaves
 them in internal-key order (user key ascending, sequence descending), and
-:func:`resolve_user_entries` collapses each user key's version chain into
-the value a reader should see — applying merge (append) operands and
+:func:`resolve_versions` — the one version-chain rule, shared by point
+reads, scans and compaction — collapses each user key's versions into the
+value a reader should see, applying merge (append) operands and
 suppressing tombstones.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
 from repro.lsm.dbformat import (
+    MAX_SEQUENCE,
     ValueType,
     decode_internal_key,
+    internal_key_user_key,
+    sort_key,
 )
-from repro.util.varint import decode_fixed64
-
-
-def _heap_key(ikey: bytes, stream_index: int):
-    """Heap ordering: internal-key order, ties broken by stream index.
-
-    Stream index tie-breaking matters only when two streams carry the same
-    (user key, sequence), which the write path never produces; it keeps
-    the merge deterministic regardless.
-    """
-    trailer = decode_fixed64(ikey, len(ikey) - 8)
-    return (bytes(ikey[:-8]), -trailer, stream_index)
 
 
 class MergingIterator:
-    """Merges N sorted (internal key, value) streams into one."""
+    """Merges N sorted (internal key, value) streams into one.
+
+    Ties on the sort key (two streams carrying the same user key and
+    sequence, which the write path never produces) go to the earlier
+    stream, so the merge stays deterministic regardless.
+    """
 
     def __init__(self, streams: Iterable[Iterator[tuple[bytes, bytes]]]):
-        self._heap: list[tuple[tuple, bytes, bytes, int, Iterator]] = []
+        self._heap: list[tuple[tuple, int, bytes, bytes, Iterator]] = []
         for index, stream in enumerate(streams):
             stream = iter(stream)
             first = next(stream, None)
             if first is not None:
                 ikey, value = first
                 heapq.heappush(
-                    self._heap, (_heap_key(ikey, index), ikey, value, index, stream)
+                    self._heap, (sort_key(ikey), index, ikey, value, stream)
                 )
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         heap = self._heap
         while heap:
-            _, ikey, value, index, stream = heapq.heappop(heap)
+            _, index, ikey, value, stream = heapq.heappop(heap)
             yield ikey, value
             nxt = next(stream, None)
             if nxt is not None:
                 nkey, nvalue = nxt
-                heapq.heappush(
-                    heap, (_heap_key(nkey, index), nkey, nvalue, index, stream)
-                )
+                heapq.heappush(heap, (sort_key(nkey), index, nkey, nvalue, stream))
+
+
+def resolve_versions(
+    versions: Iterable[tuple[bytes, bytes]], max_sequence: int = MAX_SEQUENCE
+) -> Optional[tuple[ValueType, bytes]]:
+    """Resolve one user key's (internal key, value) versions, newest first.
+
+    Versions newer than ``max_sequence`` (a snapshot's bound) are skipped.
+    Reading stops at the first visible ``VALUE`` or ``DELETE``, which ends
+    the chain, so a lazy ``versions`` stream is consumed no further than
+    the answer needs.  The result is:
+
+    - ``(VALUE, base + operands)`` for a ``VALUE`` under newer ``MERGE``
+      (append) operands, applied oldest→newest;
+    - ``(DELETE, b"")`` for a ``DELETE`` with no newer operand; with
+      operands the key is re-created from empty, ``(VALUE, operands)``;
+    - ``(MERGE, operands)`` when only operands are visible: the base, if
+      any, is older than every version given;
+    - ``None`` when no version is visible.
+    """
+    operands: list[bytes] = []  # newest first
+    for ikey, value in versions:
+        parsed = decode_internal_key(ikey)
+        if parsed.sequence > max_sequence:
+            continue
+        value_type = parsed.value_type
+        if value_type is ValueType.MERGE:
+            operands.append(value)
+            continue
+        if value_type is ValueType.VALUE:
+            if not operands:
+                return value_type, value
+            operands.append(value)
+        elif not operands:
+            return value_type, b""
+        return ValueType.VALUE, b"".join(reversed(operands))
+    if operands:
+        return ValueType.MERGE, b"".join(reversed(operands))
+    return None
+
+
+def _by_user_key(
+    merged: Iterable[tuple[bytes, bytes]],
+) -> Iterator[tuple[bytes, list[tuple[bytes, bytes]]]]:
+    """(user key, its versions newest first) for each user key of ``merged``.
+
+    A group is read in full, up to and including the next key's first
+    entry, before it is handed on.  That is the order in which merges have
+    always read their inputs; it fixes when each table block is read, and
+    so every simulated schedule.
+    """
+    for user_key, versions in groupby(
+        merged, key=lambda entry: internal_key_user_key(entry[0])
+    ):
+        yield user_key, list(versions)
 
 
 def resolve_user_entries(
     merged: Iterable[tuple[bytes, bytes]],
     stop_after_user_key: Optional[bytes] = None,
+    max_sequence: int = MAX_SEQUENCE,
 ) -> Iterator[tuple[bytes, bytes]]:
-    """Collapse internal entries into user-visible (user key, value) pairs.
+    """Collapse merged internal entries into user-visible (key, value) pairs.
 
-    For each user key (whose versions arrive newest-first):
-
-    - a ``VALUE`` terminates the chain: the result is the value plus any
-      newer ``MERGE`` operands appended after it (oldest→newest);
-    - a ``DELETE`` terminates the chain: the key is visible only if newer
-      ``MERGE`` operands exist (append-after-delete re-creates the key);
-    - a chain of only ``MERGE`` operands yields their concatenation
-      (append to a never-written key starts from empty).
-
+    Each user key's versions go through :func:`resolve_versions`; keys that
+    resolve to a tombstone, or to nothing at ``max_sequence``, are hidden.
     ``stop_after_user_key`` bounds range scans without draining the merge.
     """
-    current_key: Optional[bytes] = None
-    operands: list[bytes] = []
-    terminated = False  # saw VALUE or DELETE for current_key
-    visible = False
-    base = b""
-
-    def emit() -> Optional[tuple[bytes, bytes]]:
-        if current_key is None or not visible:
-            return None
-        return current_key, base + b"".join(reversed(operands))
-
-    for ikey, value in merged:
-        parsed = decode_internal_key(ikey)
-        if parsed.user_key != current_key:
-            result = emit()
-            if result is not None:
-                yield result
-            if (
-                stop_after_user_key is not None
-                and parsed.user_key > stop_after_user_key
-            ):
-                return
-            current_key = parsed.user_key
-            operands = []
-            terminated = False
-            visible = False
-            base = b""
-        if terminated:
-            continue  # older shadowed versions of the same user key
-        if parsed.value_type is ValueType.VALUE:
-            base = value
-            visible = True
-            terminated = True
-        elif parsed.value_type is ValueType.DELETE:
-            terminated = True
-            visible = bool(operands)  # append-after-delete resurrects
-        else:  # MERGE
-            operands.append(value)
-            visible = True
-    result = emit()
-    if result is not None:
-        yield result
+    for user_key, versions in _by_user_key(merged):
+        if stop_after_user_key is not None and user_key > stop_after_user_key:
+            return
+        resolved = resolve_versions(versions, max_sequence)
+        if resolved is not None and resolved[0] is not ValueType.DELETE:
+            yield user_key, resolved[1]
 
 
 def collapse_internal_entries(
@@ -137,46 +146,11 @@ def collapse_internal_entries(
     ``DELETE``, or ``MERGE`` (a pure append chain compacted above the
     bottom level, whose base may still live deeper).
     """
-    current_key: Optional[bytes] = None
-    newest_seq = 0
-    operands: list[bytes] = []
-    terminated = False
-    saw_delete = False
-    base = b""
-
-    def emit() -> Optional[tuple[bytes, int, bytes, ValueType]]:
-        if current_key is None:
-            return None
-        if saw_delete and not operands:
-            if drop_tombstones:
-                return None
-            return current_key, newest_seq, b"", ValueType.DELETE
-        value = base + b"".join(reversed(operands))
-        if not terminated and not saw_delete and not drop_tombstones:
-            return current_key, newest_seq, value, ValueType.MERGE
-        return current_key, newest_seq, value, ValueType.VALUE
-
-    for ikey, value in merged:
-        parsed = decode_internal_key(ikey)
-        if parsed.user_key != current_key:
-            result = emit()
-            if result is not None:
-                yield result
-            current_key = parsed.user_key
-            newest_seq = parsed.sequence
-            operands = []
-            terminated = False
-            saw_delete = False
-            base = b""
-        if terminated or saw_delete:
-            continue
-        if parsed.value_type is ValueType.VALUE:
-            base = value
-            terminated = True
-        elif parsed.value_type is ValueType.DELETE:
-            saw_delete = True
-        else:
-            operands.append(value)
-    result = emit()
-    if result is not None:
-        yield result
+    for user_key, versions in _by_user_key(merged):
+        value_type, value = resolve_versions(versions)
+        if drop_tombstones:
+            if value_type is ValueType.DELETE:
+                continue
+            value_type = ValueType.VALUE
+        newest = decode_internal_key(versions[0][0]).sequence
+        yield user_key, newest, value, value_type

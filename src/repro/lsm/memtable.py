@@ -1,7 +1,8 @@
 """The MemTable: the LSM-tree's C0 component (§2.2 of the paper).
 
-Holds the most recent updates in a skiplist ordered by internal key and
-answers point lookups before any SSTable is consulted.  When
+Holds the most recent updates in one list kept in internal-key order
+(:func:`~repro.lsm.dbformat.sort_key`): checkpoint keys arrive ascending,
+so nearly every insert is an append, and reads bisect.  When
 ``approximate_memory_usage`` exceeds the write buffer size the DB freezes
 the memtable and flushes it to an L0 SSTable — that flush is the large
 sequential write the whole paper is about.
@@ -9,54 +10,28 @@ sequential write the whole paper is about.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
-from repro.lsm.dbformat import (
-    MAX_SEQUENCE,
-    ValueType,
-    decode_internal_key,
-    encode_internal_key,
-    internal_compare,
-    seek_key,
-)
-from repro.lsm.skiplist import SkipList
+from repro.lsm.dbformat import ValueType, encode_internal_key, sort_key
 
-# Rough per-entry bookkeeping overhead (node + list slots + key copy),
-# counted so the flush trigger tracks real memory, not just payload bytes.
+# Per-entry bookkeeping overhead counted on top of key and value bytes.  It
+# is a fixed charge, not a measurement of this container, because it sets
+# where every flush lands and with it every simulated schedule.
 _ENTRY_OVERHEAD = 96
 
 
-class GetResult:
-    """Outcome of a memtable lookup for one user key.
-
-    The memtable alone cannot always resolve a read: a chain of MERGE
-    (append) operands without a base value underneath must fall through to
-    older tables.  ``state`` is one of:
-
-    - ``"found"``    — ``value`` is the fully-resolved bytes;
-    - ``"deleted"``  — a tombstone is the newest entry;
-    - ``"merge"``    — ``operands`` (oldest→newest) need a base from below;
-    - ``"missing"``  — no entry for this key at all.
-    """
-
-    __slots__ = ("state", "value", "operands")
-
-    def __init__(self, state: str, value: bytes = b"", operands=()):
-        self.state = state
-        self.value = value
-        self.operands = list(operands)
-
-
 class MemTable:
-    """Skiplist of (internal key → value) with LSM read semantics."""
+    """Buffered (internal key → value) updates in internal-key order."""
 
-    def __init__(self, seed: int = 0):
-        self._entries: dict[bytes, bytes] = {}
-        self._index = SkipList(less=lambda a, b: internal_compare(a, b) < 0, seed=seed)
+    def __init__(self):
+        # Rows are (user_key, -trailer, internal key, value): the first two
+        # fields are the row's sort key, so plain tuple order is key order.
+        self._rows: list[tuple[bytes, int, bytes, bytes]] = []
         self._memory = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def approximate_memory_usage(self) -> int:
         """Bytes of keys+values+overhead currently buffered."""
@@ -65,53 +40,46 @@ class MemTable:
     def add(
         self, sequence: int, value_type: ValueType, user_key: bytes, value: bytes
     ) -> None:
-        """Insert one update; (user_key, sequence) pairs must be unique."""
+        """Insert one update; raises ``ValueError`` if its internal key is buffered."""
         ikey = encode_internal_key(user_key, sequence, value_type)
-        self._index.insert(ikey)
-        self._entries[ikey] = value
+        key = sort_key(ikey)
+        rows = self._rows
+        # A 2-tuple sorts before every row it prefixes.
+        if rows and rows[-1] > key:
+            i = bisect_left(rows, key)
+            if rows[i][:2] == key:
+                raise ValueError("duplicate internal key inserted into memtable")
+            rows.insert(i, key + (ikey, value))
+        else:
+            rows.append(key + (ikey, value))
         self._memory += len(ikey) + len(value) + _ENTRY_OVERHEAD
-
-    def get(self, user_key: bytes, max_sequence: Optional[int] = None) -> GetResult:
-        """Resolve ``user_key`` against buffered updates (newest first).
-
-        ``max_sequence`` bounds visibility for snapshot reads: entries
-        newer than it are skipped.
-        """
-        operands: list[bytes] = []
-        for ikey in self._index.seek(seek_key(user_key, 
-                max_sequence if max_sequence is not None else MAX_SEQUENCE)):
-            parsed = decode_internal_key(ikey)
-            if parsed.user_key != user_key:
-                break
-            if parsed.value_type is ValueType.VALUE:
-                base = self._entries[ikey]
-                if operands:
-                    return GetResult(
-                        "found", base + b"".join(reversed(operands))
-                    )
-                return GetResult("found", base)
-            if parsed.value_type is ValueType.DELETE:
-                if operands:
-                    # Deleted base + later appends == appends on empty value.
-                    return GetResult("found", b"".join(reversed(operands)))
-                return GetResult("deleted")
-            operands.append(self._entries[ikey])  # MERGE, newest first
-        if operands:
-            return GetResult("merge", operands=list(reversed(operands)))
-        return GetResult("missing")
 
     def entries(self) -> Iterator[tuple[bytes, bytes]]:
         """All (internal key, value) pairs in internal-key order."""
-        for ikey in self._index:
-            yield ikey, self._entries[ikey]
+        for row in self._rows:
+            yield row[2], row[3]
 
     def seek(self, ikey: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """(internal key, value) pairs with internal key >= ``ikey``."""
-        for found in self._index.seek(ikey):
-            yield found, self._entries[found]
+        """(internal key, value) pairs with internal key >= ``ikey``.
+
+        Readers walk the live memtable without the DB lock, so an insert
+        may shift the list between two steps.  Each step therefore bisects
+        again past the last row it yielded and checks what it read; a row
+        inserted behind the walk is never seen, one inserted ahead is.
+        """
+        rows = self._rows
+        bound = sort_key(ikey)
+        while True:
+            i = bisect_right(rows, bound)
+            if i >= len(rows):
+                return
+            row = rows[i]
+            if row > bound:  # else an insert landed before i: look again
+                yield row[2], row[3]
+                bound = row
 
     def smallest_key(self) -> Optional[bytes]:
-        return self._index.first()
+        return self._rows[0][2] if self._rows else None
 
     def largest_key(self) -> Optional[bytes]:
-        return self._index.last()
+        return self._rows[-1][2] if self._rows else None

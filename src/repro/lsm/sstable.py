@@ -31,11 +31,7 @@ from repro.errors import CorruptionError
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.cache import LRUCache
-from repro.lsm.dbformat import (
-    InternalKeyComparator,
-    internal_compare,
-    internal_key_user_key,
-)
+from repro.lsm.dbformat import internal_key_user_key, sort_key
 from repro.lsm.env import RandomAccessFile, WritableFile
 from repro.lsm.options import (
     BLOOM_BITS_PER_KEY,
@@ -87,9 +83,9 @@ class TableBuilder:
         self._options = options
         self._dest = dest
         self._data_block = BlockBuilder(
-            options.block_restart_interval, compare=internal_compare
+            options.block_restart_interval, key=sort_key
         )
-        self._index_block = BlockBuilder(1, compare=internal_compare)
+        self._index_block = BlockBuilder(1, key=sort_key)
         self._pending_index: Optional[tuple[bytes, BlockHandle]] = None
         self._offset = 0
         self._num_entries = 0
@@ -285,9 +281,7 @@ class Table:
         metaindex_handle, pos = BlockHandle.decode(footer, 0)
         index_handle, _ = BlockHandle.decode(footer, pos)
         # The index never changes after open: decode it once into parallel
-        # lists a lookup can bisect.  Sort keys are (user key, -trailer),
-        # which orders exactly as internal_compare does.
-        sort_key = InternalKeyComparator.sort_key
+        # lists a lookup can bisect by sort key.
         self._index_keys: list[tuple[bytes, int]] = []
         self._index_handles: list[BlockHandle] = []
         index = Block(self._read_block_payload(index_handle))
@@ -344,7 +338,7 @@ class Table:
         payload = self._read_block_payload(
             handle, verify=read_options.verify_checksums
         )
-        block = Block(payload, compare=internal_compare)
+        block = Block(payload, key=sort_key)
         if self._cache is not None and read_options.fill_cache:
             self._cache.insert(cache_key, block, len(payload))
         return block
@@ -363,9 +357,7 @@ class Table:
         handles = self._index_handles
         # Index keys are each block's last key: the first one >= target
         # names the only block that can start the answer.
-        first = bisect_left(
-            self._index_keys, InternalKeyComparator.sort_key(target_ikey)
-        )
+        first = bisect_left(self._index_keys, sort_key(target_ikey))
         if first == len(handles):
             return
         yield from self._data_block(handles[first], read_options).seek(target_ikey)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.errors import CorruptionError, NotFoundError
 from repro.lsm.db import table_file_name
-from repro.lsm.dbformat import decode_internal_key, internal_compare
+from repro.lsm.dbformat import decode_internal_key, sort_key
 from repro.lsm.env import Env, LocalFsEnv
 from repro.lsm.manifest import VersionSet
 from repro.lsm.options import Options
@@ -114,7 +114,7 @@ def verify_db(
                 table_report.entries += 1
                 parsed = decode_internal_key(ikey)
                 seen_users.add(parsed.user_key)
-                if previous is not None and internal_compare(previous, ikey) >= 0:
+                if previous is not None and sort_key(previous) >= sort_key(ikey):
                     table_report.errors.append("keys out of order")
                     break
                 previous = ikey
@@ -124,11 +124,9 @@ def verify_db(
         table_report.user_keys = len(seen_users)
         if table_report.entries:
             first = next(iter(table))[0]
-            if internal_compare(first, meta.smallest) != 0:
+            if first != meta.smallest:
                 table_report.errors.append("smallest key disagrees with manifest")
-            if previous is not None and internal_compare(
-                previous, meta.largest
-            ) != 0:
+            if previous is not None and previous != meta.largest:
                 table_report.errors.append("largest key disagrees with manifest")
         table.close()
 

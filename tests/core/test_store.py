@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import sim
 from repro.errors import ClosedError, InvalidArgumentError, NotFoundError
 from repro.core import Backend, LsmioOptions, LsmioStore
 from repro.lsm.env import MemEnv
+from repro.sim.executor import SimExecutor
 
 
 def make_store(backend=Backend.ROCKSDB, **opts):
@@ -137,6 +139,25 @@ class TestSyncModes:
             store.put(b"k", b"v" * (100 << 10), sync=True)
             files, _ = store.db.approximate_level_shape()[0]
             assert files >= 1
+
+
+    def test_executor_failure_inside_the_simulator_is_raised(self, monkeypatch):
+        # Only "not inside a simulation" selects a real thread; an error
+        # while building the simulated executor must not fall back to one.
+        def broken(self, engine):
+            raise RuntimeError("executor construction failed")
+
+        monkeypatch.setattr(SimExecutor, "__init__", broken)
+
+        def main():
+            with pytest.raises(RuntimeError, match="construction failed"):
+                LsmioStore("store", LsmioOptions(sync_writes=False), env=MemEnv())
+            return "raised"
+
+        with sim.Engine() as engine:
+            proc = engine.spawn(main)
+            engine.run()
+        assert proc.result == "raised"
 
 
 class TestLifecycle:

@@ -126,11 +126,11 @@ class TestBlockComparator:
         from repro.lsm.dbformat import (
             ValueType,
             encode_internal_key,
-            internal_compare,
             seek_key,
+            sort_key,
         )
 
-        builder = BlockBuilder(4, compare=internal_compare)
+        builder = BlockBuilder(4, key=sort_key)
         # Same user key, descending sequences — ascending internal order.
         entries = [
             (encode_internal_key(b"k", seq, ValueType.VALUE), str(seq).encode())
@@ -138,7 +138,7 @@ class TestBlockComparator:
         ]
         for k, v in entries:
             builder.add(k, v)
-        block = Block(builder.finish(), compare=internal_compare)
+        block = Block(builder.finish(), key=sort_key)
         found = list(block.seek(seek_key(b"k")))
         assert [v for _, v in found] == [b"9", b"5", b"2"]
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ClosedError, InvalidArgumentError, NotFoundError
-from repro.lsm import DB, MemEnv, Options, WriteBatch, WriteOptions
+from repro.lsm import DB, MemEnv, Options, ReadOptions, WriteBatch, WriteOptions
 from repro.lsm.executors import ThreadExecutor
+from repro.lsm.sstable import Table
 
 
 def _crash(db):
@@ -64,6 +65,16 @@ class TestBasicOps:
         db.delete(b"s")
         db.append(b"s", b"new")
         assert db.get(b"s") == b"new"
+
+    def test_lookup_does_not_bleed_across_user_keys(self, db):
+        db.put(b"ka", b"1")
+        db.put(b"kb", b"2")
+        for _ in range(2):  # from the memtable, then from a table
+            assert db.get(b"ka") == b"1"
+            assert db.get(b"kb") == b"2"
+            with pytest.raises(NotFoundError):
+                db.get(b"k")
+            db.flush()
 
     def test_contains(self, db):
         db.put(b"k", b"v")
@@ -151,6 +162,65 @@ class TestFlushAndLevels:
         db.flush()
         assert db.stats.memtable_flushes == 1
         assert db.stats.flushed_bytes > 1000
+        db.close()
+
+
+class TestPointReadPath:
+    def test_memtable_merge_chain_over_flushed_base(self):
+        db = mem_db(enable_compaction=False)
+        db.put(b"k", b"base")
+        db.flush()
+        db.append(b"k", b"-a")
+        db.append(b"k", b"-b")
+        snap = db.snapshot()
+        db.append(b"k", b"-c")
+        assert db.get(b"k") == b"base-a-b-c"
+        assert db.get(b"k", ReadOptions(snapshot=snap)) == b"base-a-b"
+        snap.release()
+        db.close()
+
+    def test_tables_probed_newest_first_until_the_chain_ends(self, monkeypatch):
+        db = mem_db(enable_compaction=False)
+        for batch in (
+            [(b"k", b"ancient")],
+            [(b"a", b""), (b"k", b"base")],
+            [(b"i", b""), (b"m", b"")],  # spans k; the bloom filter rules it out
+        ):
+            for key, value in batch:
+                db.put(key, value)
+            db.flush()
+        db.append(b"k", b"-a")
+        db.flush()
+        db.append(b"k", b"-b")
+        events = []
+        may_contain, seek = Table.may_contain, Table.seek
+
+        def probe(table, key):
+            found = may_contain(table, key)
+            events.append(("bloom", table._file_number, found))
+            return found
+
+        def record_seek(table, target, read_options=None):
+            events.append(("seek", table._file_number))
+            return seek(table, target, read_options)
+
+        monkeypatch.setattr(Table, "may_contain", probe)
+        monkeypatch.setattr(Table, "seek", record_seek)
+        oldest, base, spans, appended = sorted(
+            meta.number for meta in db._versions.current.files[0]
+        )
+        assert db.get(b"k") == b"base-a-b"
+        assert events == [
+            ("bloom", appended, True),
+            ("seek", appended),
+            ("bloom", spans, False),
+            ("bloom", base, True),
+            ("seek", base),
+        ]
+        events.clear()
+        db.put(b"k", b"fresh")
+        assert db.get(b"k") == b"fresh"
+        assert events == []  # answered by the memtable alone
         db.close()
 
 

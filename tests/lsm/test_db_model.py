@@ -1,7 +1,8 @@
 """Property-based model test: the DB must behave like a dict with appends.
 
 The hypothesis stateful machine drives put/append/delete/flush/compact/
-reopen against an in-memory model and checks every lookup and scan.
+reopen and snapshot/release against an in-memory model and checks every
+lookup and scan, at the head and at each live snapshot.
 """
 
 from hypothesis import settings
@@ -10,11 +11,13 @@ from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
     invariant,
+    precondition,
     rule,
 )
 
 from repro.errors import NotFoundError
-from repro.lsm import DB, MemEnv, Options
+from repro.lsm import DB, MemEnv, Options, ReadOptions
+from repro.lsm.db import Snapshot
 
 KEYS = st.sampled_from([f"key{i}".encode() for i in range(12)])
 VALUES = st.binary(max_size=48)
@@ -30,6 +33,8 @@ class DBModelMachine(RuleBasedStateMachine):
         )
         self.db = DB.open("db", self.options, env=self.env)
         self.model: dict[bytes, bytes] = {}
+        # (live snapshot, the model as copied when it was taken)
+        self.snapshots: list[tuple[Snapshot, dict[bytes, bytes]]] = []
 
     keys = Bundle("keys")
 
@@ -62,31 +67,60 @@ class DBModelMachine(RuleBasedStateMachine):
 
     @rule()
     def reopen(self):
+        self.release_all()
         self.db.close()
         self.db = DB.open("db", self.options, env=self.env)
 
+    @rule()
+    def snapshot(self):
+        self.snapshots.append((self.db.snapshot(), dict(self.model)))
+
+    @precondition(lambda self: self.snapshots)
+    @rule(data=st.data())
+    def release(self, data):
+        index = data.draw(st.integers(0, len(self.snapshots) - 1))
+        snap, _ = self.snapshots.pop(index)
+        snap.release()
+
+    def release_all(self):
+        while self.snapshots:
+            self.snapshots.pop()[0].release()
+
+    def views(self):
+        """(read options, expected contents): the head, then each snapshot."""
+        yield ReadOptions(), self.model
+        for snap, frozen in self.snapshots:
+            yield ReadOptions(snapshot=snap), frozen
+
     @rule(key=keys)
     def check_get(self, key):
-        if key in self.model:
-            assert self.db.get(key) == self.model[key]
-        else:
-            try:
-                self.db.get(key)
-                raise AssertionError(f"{key!r} should be absent")
-            except NotFoundError:
-                pass
+        for read_options, expected in self.views():
+            if key in expected:
+                assert self.db.get(key, read_options) == expected[key]
+            else:
+                try:
+                    self.db.get(key, read_options)
+                    raise AssertionError(f"{key!r} should be absent")
+                except NotFoundError:
+                    pass
 
     @invariant()
     def scan_matches_model(self):
-        assert dict(self.db.iterate()) == self.model
+        for read_options, expected in self.views():
+            assert dict(self.db.iterate(read_options=read_options)) == expected
 
     def teardown(self):
+        self.release_all()
         self.db.close()
 
 
 TestDBModel = DBModelMachine.TestCase
+# A quarter of the loaded profile's examples: 25 by default, ten times
+# that under ``--hypothesis-profile=ci`` (tests/conftest.py).
 TestDBModel.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
+    max_examples=settings.default.max_examples // 4,
+    stateful_step_count=30,
+    deadline=None,
 )
 
 

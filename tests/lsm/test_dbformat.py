@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from repro.errors import CorruptionError
 from repro.lsm.dbformat import (
     MAX_SEQUENCE,
-    InternalKeyComparator,
     ParsedInternalKey,
     ValueType,
     decode_internal_key,
     encode_internal_key,
-    internal_compare,
     internal_key_user_key,
     seek_key,
+    sort_key,
 )
 
 
@@ -63,29 +62,29 @@ class TestOrdering:
     def test_user_keys_ascending(self):
         a = encode_internal_key(b"a", 5, ValueType.VALUE)
         b = encode_internal_key(b"b", 5, ValueType.VALUE)
-        assert internal_compare(a, b) < 0
-        assert internal_compare(b, a) > 0
+        assert sort_key(a) < sort_key(b)
+        assert sort_key(b) > sort_key(a)
 
     def test_sequences_descending_within_key(self):
         newer = encode_internal_key(b"k", 10, ValueType.VALUE)
         older = encode_internal_key(b"k", 3, ValueType.VALUE)
-        assert internal_compare(newer, older) < 0  # newer sorts first
+        assert sort_key(newer) < sort_key(older)  # newer sorts first
 
     def test_equal(self):
         a = encode_internal_key(b"k", 5, ValueType.MERGE)
-        assert internal_compare(a, a) == 0
+        assert sort_key(a) == sort_key(bytes(a))
 
     def test_seek_key_sorts_before_all_versions(self):
         sk = seek_key(b"k")
         for seq in (0, 1, 100, MAX_SEQUENCE):
             for vtype in ValueType:
                 entry = encode_internal_key(b"k", seq, vtype)
-                assert internal_compare(sk, entry) <= 0
+                assert sort_key(sk) <= sort_key(entry)
 
     def test_seek_key_sorts_after_previous_user_key(self):
         sk = seek_key(b"k")
         prev = encode_internal_key(b"j", 0, ValueType.DELETE)
-        assert internal_compare(prev, sk) < 0
+        assert sort_key(prev) < sort_key(sk)
 
     def test_sort_key_agrees_with_compare(self):
         keys = [
@@ -94,12 +93,14 @@ class TestOrdering:
             for seq in (0, 7, 99)
             for vt in ValueType
         ]
-        by_sort_key = sorted(keys, key=InternalKeyComparator.sort_key)
-        # Insertion sort with internal_compare as the oracle.
-        import functools
 
-        by_compare = sorted(keys, key=functools.cmp_to_key(internal_compare))
-        assert by_sort_key == by_compare
+        def by_fields(ikey):
+            # The order spelled out field by field: user key ascending,
+            # then sequence and type descending.
+            parsed = decode_internal_key(ikey)
+            return (parsed.user_key, -parsed.sequence, -parsed.value_type)
+
+        assert sorted(keys, key=sort_key) == sorted(keys, key=by_fields)
 
     @given(
         st.binary(max_size=8),
@@ -110,6 +111,5 @@ class TestOrdering:
     def test_compare_consistency_property(self, uk1, uk2, s1, s2):
         a = encode_internal_key(uk1, s1, ValueType.VALUE)
         b = encode_internal_key(uk2, s2, ValueType.VALUE)
-        assert internal_compare(a, b) == -internal_compare(b, a)
-        if uk1 == uk2 and s1 == s2:
-            assert internal_compare(a, b) == 0
+        assert (sort_key(a) < sort_key(b)) == ((uk1, -s1) < (uk2, -s2))
+        assert (sort_key(a) == sort_key(b)) == (a == b)

@@ -14,8 +14,8 @@ from repro.lsm.dbformat import (
     MAX_SEQUENCE,
     ValueType,
     encode_internal_key,
-    internal_compare,
     seek_key,
+    sort_key,
 )
 from repro.lsm.env import LocalFsEnv, MemEnv
 from repro.lsm.options import ChecksumType, CompressionType, Options
@@ -396,7 +396,7 @@ class TestBisectedIndexOrdering:
         for user_key, sequence in probes:
             target = seek_key(user_key, sequence)
             expected = [
-                (k, v) for k, v in everything if internal_compare(k, target) >= 0
+                (k, v) for k, v in everything if sort_key(k) >= sort_key(target)
             ]
             assert list(table.seek(target)) == expected
 
