@@ -3,7 +3,7 @@
 The figure benchmarks measure *simulated* bandwidth on the modeled
 cluster; they say nothing about what the Python engine itself costs per
 byte.  This harness times the genuine write-path code — WAL framing,
-block building, memtable insert, the group-commit queue — on wall-clock
+block building, memtable insert, the commit lock — on wall-clock
 time with seeded payloads, and emits ``BENCH_lsm_write.json`` so the
 repo carries a perf trajectory from PR to PR ("On Performance Stability
 in LSM-based Storage Systems", arXiv:1906.09667, motivates recording
@@ -20,9 +20,10 @@ Scenarios
 - ``batched_put_64k``: one ``DB.write`` per 64-op ``WriteBatch``.
 - ``wal_append_64k`` / ``table_build_64k``: the two serialization hot
   loops in isolation.
-- ``group_commit_4w``: four writer threads against one WAL-enabled DB
-  (exercises the writer queue; merged-group stats are reported when the
-  engine exposes them).
+- ``group_commit_4w``: four writer threads against one WAL-enabled DB,
+  each put is its own commit, serialized on the DB lock.  The engine has
+  no writer queue, so nothing is merged; the scenario keeps its name so
+  the committed baseline still gates contended writes.
 
 Usage::
 
@@ -32,8 +33,8 @@ Usage::
     python benchmarks/micro/bench_lsm_write.py --rebaseline
 
 ``--out`` rewrites the JSON with fresh ``current`` numbers, keeping the
-committed ``baseline`` block (the pre-group-commit engine, measured once
-before the batched write path landed).  ``--check`` exits non-zero if any
+committed ``baseline`` block (the engine measured once before the
+batched write path landed).  ``--check`` exits non-zero if any
 scenario regressed by more than ``--max-regression`` (default 3x) against
 the committed baseline — the CI perf-smoke gate.
 """
@@ -240,13 +241,8 @@ def group_commit_4w(n: int, writers: int = 4) -> dict:
     elapsed = time.perf_counter() - t0
     if errors:
         raise errors[0]
-    out = {"mbps": _mbps(writers * per_writer * len(value), elapsed)}
-    snap = db.stats.snapshot()
-    for key in ("group_commits", "batches_merged", "max_commit_queue_depth"):
-        if key in snap:
-            out[key] = snap[key]
     db.close()
-    return out
+    return {"mbps": _mbps(writers * per_writer * len(value), elapsed)}
 
 
 SCENARIOS = {

@@ -10,7 +10,7 @@ cannot keep up by design — then runs the same workload with partitioned
 subcompactions and the stall-aware pacer enabled.  Every put's latency
 is recorded in *simulated* time, bucketed over the run so the stalls
 show up as where-they-happened, and the ``repro.trace`` stall spans
-(commit_stall / write_slowdown / write_stop) are merged into distinct
+(write_slowdown / write_stop) are merged into distinct
 stall windows via ``repro.trace.summary.stalls_report``.
 
 The committed gate (``--check``) is the issue's acceptance bar: with

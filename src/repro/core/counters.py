@@ -35,13 +35,11 @@ class PerfCounters:
     backoff_time: float = 0.0
     degraded_barriers: int = 0
     failed_barriers: int = 0
-    #: group-commit telemetry: writes that rode another write's commit
-    #: (manager accumulation + the engine's writer-queue merges), extent
-    #: bytes the PFS client merged into a neighbouring RPC, and the
-    #: high-water commit-queue depth observed at the engine.
+    #: write-coalescing telemetry: operations that rode another
+    #: operation's engine write (the manager's accumulation batch), and
+    #: extent bytes the PFS client merged into a neighbouring RPC.
     batches_merged: int = 0
     bytes_coalesced: int = 0
-    commit_queue_depth: int = 0
 
     def record(self, op: str, nbytes: int = 0, elapsed: float = 0.0) -> None:
         """Account one operation."""

@@ -68,7 +68,14 @@ def _as_value(value: bytes | str) -> bytes:
 
 
 class LsmioManager:
-    """The external K/V interface of LSMIO."""
+    """The external K/V interface of LSMIO.
+
+    Writes are accumulated: a rank's puts, appends and deletes, plus
+    those its collective group forwards to it, collect in one pending
+    ``WriteBatch`` that reaches the engine as a single ``DB.write`` at
+    the barrier, before a read, on a sync write or at the write-buffer
+    threshold.  This is the stack's only group commit.
+    """
 
     _registry: dict[str, "LsmioManager"] = {}
     _registry_lock = threading.Lock()
@@ -126,7 +133,6 @@ class LsmioManager:
         # at the write-buffer threshold.
         self._pending: Optional[WriteBatch] = None
         self._pending_limit = self.options.write_buffer_size
-        self._db_merges_seen = 0
         self._client_coalesced_seen = 0
         #: the node's burst-buffer tier (None without one configured)
         self.burst_buffer = None
@@ -271,7 +277,7 @@ class LsmioManager:
                         raise payload
             except _BARRIER_FAULTS as exc:
                 fault = exc
-            self._sync_group_commit_counters()
+            self._sync_coalesced_bytes()
             report = self._barrier_report(
                 before,
                 completed=fault is None,
@@ -486,24 +492,12 @@ class LsmioManager:
         ):
             self.store.write_batch(pending, sync=sync)
 
-    def _sync_group_commit_counters(self) -> None:
-        """Fold engine/client coalescing telemetry into the perf counters.
+    def _sync_coalesced_bytes(self) -> None:
+        """Fold the PFS client's coalescing into ``bytes_coalesced``.
 
-        ``batches_merged`` accumulates both manager-level accumulation and
-        the engine's writer-queue merges (delta-tracked so repeated
-        barriers don't double-count); ``commit_queue_depth`` is a
-        high-water gauge; ``bytes_coalesced`` counts extent bytes the PFS
-        client merged into neighbouring RPCs.
+        Counts extent bytes the client merged into neighbouring RPCs,
+        delta-tracked so repeated barriers don't double-count.
         """
-        if self.store is not None:
-            stats = self.store.db.stats
-            merges = stats.batches_merged
-            if merges > self._db_merges_seen:
-                self.counters.batches_merged += merges - self._db_merges_seen
-                self._db_merges_seen = merges
-            depth = stats.max_commit_queue_depth
-            if depth > self.counters.commit_queue_depth:
-                self.counters.commit_queue_depth = depth
         client = self._fault_client()
         if client is not None:
             coalesced = getattr(client.stats, "bytes_coalesced", 0)
@@ -601,7 +595,7 @@ class LsmioManager:
                 if self._server.alive:
                     sim.wait(self._server.done)
             self._flush_pending()
-            self._sync_group_commit_counters()
+            self._sync_coalesced_bytes()
             self.store.close()
             if self.burst_buffer is not None:
                 # a closed manager leaves nothing stranded on the node:

@@ -115,10 +115,11 @@ class LsmioStore:
     def write_batch(self, batch: WriteBatch, sync: Optional[bool] = None) -> None:
         """Apply a pre-built :class:`WriteBatch` atomically.
 
-        The manager's accumulation path funnels through here: many puts
-        arrive as one engine write (one group commit).  In LevelDB-mode
-        aggregation (``start_batch`` open) the operations merge into the
-        open batch instead.
+        The manager's accumulation path funnels through here: its pending
+        batch of many puts arrives as one engine write, made under this
+        store's lock, which is why the engine itself needs no writer
+        queue.  In LevelDB-mode aggregation (``start_batch`` open) the
+        operations merge into the open batch instead.
         """
         if not len(batch):
             return

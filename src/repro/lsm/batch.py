@@ -36,9 +36,9 @@ class WriteBatch:
         self._ops: list[tuple[ValueType, bytes, bytes]] = []
         self._byte_size = _HEADER_SIZE
         self._payload_bytes = 0
-        # Group-commit accounting: serialized size of each constituent
-        # batch (or charge segment), so a merged group can be charged
-        # exactly as its members would have been individually.
+        # Charge accounting: serialized size of each charge segment (one
+        # per accumulated operation or merged batch), so a combined batch
+        # is charged exactly as its parts would have been individually.
         self._sub_sizes: list[int] = []
         self._charged_upto = _HEADER_SIZE
 
@@ -68,16 +68,17 @@ class WriteBatch:
         self._sub_sizes.clear()
         self._charged_upto = _HEADER_SIZE
 
-    # -- group commit ---------------------------------------------------
+    # -- combining batches ----------------------------------------------
 
     def merge_from(self, other: "WriteBatch") -> None:
-        """Append every operation of ``other`` (group-commit merge).
+        """Append every operation of ``other`` (LevelDB-mode aggregation).
 
-        Operation tuples are shared, not copied — batches are treated as
-        frozen once queued for commit.  ``other`` keeps its charge
-        structure: its segments are appended to this batch's, so a merged
-        group charges modeled CPU exactly as its members would have
-        individually.
+        ``LsmioStore.write_batch`` uses this to fold a batch into the
+        open ``start_batch``.  Operation tuples are shared, not copied:
+        ``other`` is treated as frozen once handed over.  ``other`` keeps
+        its charge structure: its segments are appended to this batch's,
+        so the combined batch charges modeled CPU exactly as its parts
+        would have individually.
         """
         self.add_charge_boundary()  # seal our own tail as one segment
         self._ops.extend(other._ops)

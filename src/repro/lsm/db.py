@@ -17,8 +17,7 @@ or tombstone resolves the chain.
 from __future__ import annotations
 
 import re
-from collections import deque
-from itertools import islice, takewhile
+from itertools import takewhile
 from typing import Iterator, Optional
 
 from repro.errors import (
@@ -130,39 +129,12 @@ class DBStats:
         self.compacted_bytes = 0
         self.wal_records = 0
         self.wal_syncs = 0
-        #: group-commit counters: commits that merged >1 batch, follower
-        #: batches absorbed into a leader's group, and the deepest the
-        #: writer queue ever got.
-        self.group_commits = 0
-        self.batches_merged = 0
-        self.max_commit_queue_depth = 0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
 
 
-class _Writer:
-    """One queued write: the batch, its options, and a parking gate."""
-
-    __slots__ = ("batch", "sync", "disable_wal", "done", "error", "gate")
-
-    def __init__(self, batch: WriteBatch, write_options: WriteOptions):
-        self.batch = batch
-        self.sync = write_options.sync
-        self.disable_wal = write_options.disable_wal
-        self.done = False
-        self.error: Optional[BaseException] = None
-        from repro.sim.locks import AdaptiveEvent
-
-        self.gate = AdaptiveEvent()
-
-
 _DEFAULT_WRITE_OPTIONS = WriteOptions()
-
-#: LevelDB's group-size policy: cap merged groups at 1 MiB, but never let
-#: a small leader wait behind more than 128 KiB of followers.
-_MAX_GROUP_BYTES = 1 << 20
-_SMALL_LEADER_BYTES = 128 << 10
 
 
 class DB:
@@ -203,13 +175,7 @@ class DB:
         metrics = _trace.METRICS
         if metrics is not None:
             metrics.register(f"lsm.db.{dbname}", self.stats)
-        # Group commit (LevelDB's writer queue): concurrent writers park
-        # here; the queue head leads, merging follower batches into one
-        # WAL record + one memtable apply.
-        self._writer_queue: deque[_Writer] = deque()
-        self._queue_lock = AdaptiveRLock()
-        self._group_batch = WriteBatch()  # leader-only scratch
-        self._wal_scratch = bytearray()  # leader-only WAL encode buffer
+        self._wal_scratch = bytearray()  # WAL encode buffer, used under _lock
         self._mem = MemTable()
         self._imm: list[MemTable] = []
         self._wal: Optional[LogWriter] = None
@@ -362,121 +328,44 @@ class DB:
     def write(
         self, batch: WriteBatch, write_options: Optional[WriteOptions] = None
     ) -> None:
-        """Apply ``batch`` atomically (group commit).
+        """Apply ``batch`` atomically: one WAL record, one memtable apply.
 
-        Concurrent writers enqueue; the queue head becomes the *leader*,
-        merges compatible follower batches into one WAL append + one
-        memtable apply, and wakes the followers with the shared outcome —
-        LevelDB's writer-queue pattern.  A commit failure is attributed to
-        every batch in the merged group: each enqueuing caller observes
-        the same exception.
+        Admission control (:meth:`_maybe_stall_write`) runs before any
+        lock; the commit runs under ``self._lock``, which also serializes
+        concurrent writers.  Grouping many operations into one commit is
+        the caller's job: LSMIO's manager accumulates a rank's (or a
+        collective group's) writes into one batch.
         """
         write_options = write_options or _DEFAULT_WRITE_OPTIONS
         if len(batch) == 0:
             return
         self._maybe_stall_write()
-        writer = _Writer(batch, write_options)
-        with self._queue_lock:
-            queue = self._writer_queue
-            queue.append(writer)
-            depth = len(queue)
-            if depth > self.stats.max_commit_queue_depth:
-                self.stats.max_commit_queue_depth = depth
-            leads = queue[0] is writer
-        if not leads:
-            with _trace.probe(
-                "lsm", "commit_stall", "lsm.commit_stall", depth=depth
-            ):
-                writer.gate.wait()
-            if writer.done:
-                if writer.error is not None:
-                    raise writer.error
-                return
-            # Woken with done unset: the previous leader handed the queue
-            # head to us — fall through and lead our own group.
         with self._lock:
-            with self._queue_lock:
-                group = self._build_group(writer)
-            error: Optional[BaseException] = None
-            try:
-                self._check_open()
-                self._commit_group(group)
-            except BaseException as exc:  # attributed to the whole group
-                error = exc
-            with self._queue_lock:
-                for _ in group:
-                    self._writer_queue.popleft()
-                next_leader = (
-                    self._writer_queue[0] if self._writer_queue else None
-                )
-            for member in group:
-                member.done = True
-                member.error = error
-                if member is not writer:
-                    member.gate.set()
-            if next_leader is not None:
-                next_leader.gate.set()
-        if error is not None:
-            raise error
+            self._check_open()
+            self._commit(batch, write_options)
 
-    def _build_group(self, leader: _Writer) -> list[_Writer]:
-        """Collect the leader's group from the queue front (queue locked).
-
-        Followers join while the merged size stays within LevelDB's
-        policy and their options are compatible: the WAL decision must
-        match, and a sync follower never rides a non-sync leader (its
-        durability guarantee would silently weaken).
-        """
-        group = [leader]
-        size = leader.batch.approximate_size
-        max_size = _MAX_GROUP_BYTES
-        if size <= _SMALL_LEADER_BYTES:
-            max_size = size + _SMALL_LEADER_BYTES
-        for follower in islice(self._writer_queue, 1, None):
-            if follower.disable_wal != leader.disable_wal:
-                break
-            if follower.sync and not leader.sync:
-                break
-            size += follower.batch.approximate_size
-            if size > max_size:
-                break
-            group.append(follower)
-        return group
-
-    def _commit_group(self, group: list[_Writer]) -> None:
-        """One WAL append + one memtable apply for the whole group."""
-        with _trace.probe(
-            "lsm", "commit", "lsm.commit", group=len(group)
-        ) as span:
-            leader = group[0]
-            if len(group) == 1:
-                batch = leader.batch
-            else:
-                batch = self._group_batch
-                batch.clear()
-                for member in group:
-                    batch.merge_from(member.batch)
-                self.stats.group_commits += 1
-                self.stats.batches_merged += len(group) - 1
+    def _commit(self, batch: WriteBatch, write_options: WriteOptions) -> None:
+        """Sequence, log and apply one batch (``self._lock`` held)."""
+        with _trace.probe("lsm", "commit", "lsm.commit") as span:
             sequence = self._versions.last_sequence + 1
             self._versions.last_sequence += len(batch)
-            use_wal = self._options.enable_wal and not leader.disable_wal
+            use_wal = self._options.enable_wal and not write_options.disable_wal
             span.set(nbytes=batch.payload_bytes, wal=use_wal)
             if use_wal:
                 scratch = self._wal_scratch
                 del scratch[:]
                 self._wal.add_record(batch.serialize_into(scratch, sequence))
                 self.stats.wal_records += 1
-                if any(member.sync for member in group):
+                if write_options.sync:
                     self._wal.sync()
                     self.stats.wal_syncs += 1
             self._apply_to_memtable(batch, sequence)
             self.stats.writes += len(batch)
             self.stats.bytes_written += batch.payload_bytes
             if self._options.cpu_charge is not None:
-                # Charge per constituent batch, not per merged group, so the
-                # modeled CPU cost (and simulated timings) of aggregated
-                # writes is identical to committing them individually.
+                # Charge per sealed segment (one per operation the manager
+                # accumulated), so batching changes wall-clock cost, not
+                # the modeled CPU time or simulated timings.
                 for charge in batch.charge_sizes():
                     self._options.cpu_charge(charge, "memtable-insert")
             if (
@@ -520,7 +409,7 @@ class DB:
         return self._versions.current.num_files(0) + len(self._imm)
 
     def _maybe_stall_write(self) -> None:
-        """Foreground admission control before a write enters the queue.
+        """Foreground admission control before a write takes the lock.
 
         Runs before any lock is taken: parking here must never block the
         background compaction that resolves the pressure (it needs
@@ -994,7 +883,9 @@ class DB:
         with self._lock:
             if snap in self._snapshots:
                 self._snapshots.remove(snap)
-        if self._options.enable_compaction:
+            closed = self._closed
+        # A closed DB has released its manifest and LOCK: nothing to compact.
+        if self._options.enable_compaction and not closed:
             self._maybe_compact()
 
     def multi_get(

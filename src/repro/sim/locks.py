@@ -24,53 +24,6 @@ def _current_sim_process():
     return getattr(_TLS, "process", None)
 
 
-class AdaptiveEvent:
-    """One-shot wakeup usable from sim processes and real threads alike.
-
-    The waiting side picks the flavour at :meth:`wait` time (sim event vs
-    ``threading.Event``); a :meth:`set` that lands before the wait is not
-    lost.  Used by the group-commit writer queue, where a follower parks
-    until its leader either commits the merged group or hands leadership
-    over.  Like :class:`AdaptiveRLock`, one instance must not be shared
-    between a sim world and real threads concurrently.
-    """
-
-    __slots__ = ("_set", "_real", "_sim_gate")
-
-    def __init__(self) -> None:
-        self._set = False
-        self._real = None
-        self._sim_gate = None
-
-    def set(self) -> None:
-        self._set = True
-        real = self._real
-        if real is not None:
-            real.set()
-        gate = self._sim_gate
-        if gate is not None:
-            gate.succeed()
-
-    def wait(self) -> None:
-        if self._set:
-            return
-        proc = _current_sim_process()
-        if proc is None:
-            self._real = threading.Event()
-            # Re-check after publishing the event: a setter that missed
-            # the publish saw _set first, so one of the two sides wins.
-            if self._set:
-                return
-            self._real.wait()
-            return
-        from repro import sim
-
-        self._sim_gate = sim.Event(proc.engine, name="adaptive-event")
-        if self._set:
-            return
-        sim.wait(self._sim_gate)
-
-
 class AdaptiveRLock:
     """Re-entrant lock usable from sim processes and real threads alike.
 

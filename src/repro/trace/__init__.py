@@ -3,7 +3,7 @@
 A :class:`Tracer` records spans on the **simulated** clock (wall clock
 optionally alongside) across every layer of the stack — the sim engine's
 process scheduling, the PFS client/OST/OSS RPC pipeline, the LSM
-engine's group commits/flushes/compactions, the LSMIO manager's K/V
+engine's commits/flushes/compactions, the LSMIO manager's K/V
 operations, and MPI messaging.  A :class:`MetricsRegistry` federates the
 pre-existing counter surfaces (``PerfCounters``, ``ClientStats``,
 ``DBStats``, per-server stats) behind one namespaced snapshot.

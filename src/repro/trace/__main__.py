@@ -50,7 +50,7 @@ def main(argv=None) -> int:
 
     p_stall = sub.add_parser(
         "stalls",
-        help="write-stall windows (commit_stall/slowdown/stop spans)",
+        help="write-stall windows (write_slowdown/write_stop spans)",
     )
     p_stall.add_argument("trace")
     p_stall.add_argument(

@@ -98,12 +98,9 @@ def phase_breakdown(payload: dict) -> str:
     return "\n".join(lines)
 
 
-#: span names that count as a foreground write stall: group-commit
-#: followers parked behind a leader, pacer/slowdown delays, and writes
-#: parked outright at the L0 stop trigger
-STALL_SPAN_NAMES = frozenset(
-    {"commit_stall", "write_slowdown", "write_stop"}
-)
+#: span names that count as a foreground write stall: pacer/slowdown
+#: delays, and writes parked outright at the L0 stop trigger
+STALL_SPAN_NAMES = frozenset({"write_slowdown", "write_stop"})
 
 
 def stall_windows(

@@ -173,25 +173,24 @@ class TestGroupCommitAccounting:
             snap = mgr.counters.snapshot()
             assert snap["batches_merged"] >= 2
             assert "bytes_coalesced" in snap
-            assert "commit_queue_depth" in snap
             mgr.counters.reset()
             assert mgr.counters.batches_merged == 0
 
 
 class TestDegradedGroupCommit:
     def test_failed_group_commit_degrades_at_barrier(self):
-        # A terminal storage fault surfacing from the merged commit must
-        # take PR 1's degraded path: DegradedWriteError with a report,
-        # not a bare storage exception — and the error covers every
-        # operation that rode the merged batch.
+        # A terminal storage fault surfacing from the engine commit of
+        # the accumulated batch must take the degraded path:
+        # DegradedWriteError with a report, not a bare storage exception
+        # — and the error covers every operation that rode the batch.
         with make_manager() as mgr:
             for i in range(3):
                 mgr.put(f"k{i}", b"v" * 64)
 
-            def sabotage(group):
+            def sabotage(batch, write_options):
                 raise OstUnavailableError("ost0001 unavailable")
 
-            mgr.store.db._commit_group = sabotage  # noqa: SLF001
+            mgr.store.db._commit = sabotage  # noqa: SLF001
             with pytest.raises(DegradedWriteError) as excinfo:
                 mgr.write_barrier()
             report = excinfo.value.report
@@ -200,13 +199,13 @@ class TestDegradedGroupCommit:
             assert mgr.counters.failed_barriers == 1
             assert mgr.counters.degraded_barriers == 1
 
-            # None of the merged group's keys became visible.
+            # None of the accumulated batch's keys became visible.
             for i in range(3):
                 with pytest.raises(NotFoundError):
                     mgr.get(f"k{i}")
 
             # Healed storage: the manager keeps working.
-            del mgr.store.db._commit_group  # noqa: SLF001
+            del mgr.store.db._commit  # noqa: SLF001
             mgr.put("after", b"ok")
             mgr.write_barrier()
             assert mgr.get("after") == b"ok"

@@ -3,7 +3,7 @@
 A small four-rank sim job runs with a tracer and telemetry installed and
 touches every instrumented interval family: PFS write/read RPCs, fsync
 and retry backoff (one RPC in forty is dropped), the scheduler's queued
-path (DRR on rank 0), DB group commits, memtable flushes and a
+path (DRR on rank 0), DB commits, memtable flushes and a
 compaction that stalls writers, MPI barriers and channels (ranks 2-3
 share a collective store), manager put/append/get/barrier, and a
 burst-buffer absorb/drain with a drain barrier.
@@ -24,7 +24,7 @@ from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
 from repro.pfs.configs import small_test_cluster
 
 SPANS_SHA256 = (
-    "464e02502b9d9c9a931402d80b9bbf44302ac480fb222281196b425204e377c9"
+    "eb7efd804d683a4d922c71efc31fd164c9394a454eae2d8845e9b3c1f1e6da9b"
 )
 EVENTS_SHA256 = (
     "8d1ed9dda196d1333dda506101f165af4cf5612d6a2417a11460220d02be209b"

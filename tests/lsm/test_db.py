@@ -429,6 +429,24 @@ class TestClosedBehaviour:
         db.close()
         db.close()
 
+    def test_snapshot_release_after_close_leaves_db_alone(self):
+        # The live snapshot defers compaction; releasing it after close
+        # must not compact into a directory whose LOCK is already gone.
+        env = MemEnv()
+        db = DB.open(
+            "db",
+            Options(write_buffer_size=4096, enable_compaction=True),
+            env=env,
+        )
+        snap = db.snapshot()
+        for i in range(200):
+            db.put(b"key%04d" % i, b"v" * 200)
+        db.flush()
+        db.close()
+        before = sorted(env.get_children("db"))
+        snap.release()
+        assert sorted(env.get_children("db")) == before
+
     def test_context_manager(self, tmp_path):
         with DB.open(str(tmp_path / "db"), Options()) as db:
             db.put(b"k", b"v")

@@ -1,25 +1,30 @@
 """Group-commit semantics: batch merging, sequencing, concurrency, errors.
 
-The writer queue in :mod:`repro.lsm.db` follows LevelDB: the queue head
-(the *leader*) merges compatible follower batches into one WAL append +
-one memtable apply, and a commit failure is attributed to every batch in
-the merged group.  These tests pin down the merge semantics — operation
-ordering, sequence assignment, tombstone/merge interleavings, per-member
-CPU-charge segmentation — plus the concurrency protocol itself: leader
-election, follower wake-up, next-leader promotion, and shared-error
-attribution.
+The stack's one group commit is the LSMIO manager's accumulation batch:
+many operations merged into one ``WriteBatch`` that :meth:`DB.write`
+commits as one WAL record and one memtable apply.  These tests pin down
+the merge semantics (operation ordering, sequence assignment,
+tombstone/merge interleavings, per-member CPU-charge segmentation) and
+the commit path itself: concurrent writers, real threads or sim
+processes, serialize on the DB lock with every batch applied atomically,
+and a failed commit fails only its own writer.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import sim
 from repro.errors import NotFoundError, OstUnavailableError
-from repro.lsm import DB, MemEnv, Options, WriteBatch, WriteOptions
+from repro.lsm import DB, MemEnv, Options, WriteBatch
 from repro.lsm.batch import _HEADER_SIZE
-from repro.lsm.dbformat import ValueType
+from repro.lsm.db import log_file_name
+from repro.lsm.dbformat import ValueType, decode_internal_key
+from repro.lsm.wal import LogReader
 
 
 def mem_db(**opts):
@@ -175,7 +180,9 @@ _op = st.tuples(
 
 
 class TestGroupCommitEquivalence:
-    @settings(max_examples=50, deadline=None)
+    # Half the loaded profile's examples: 50 by default, ten times that
+    # under ``--hypothesis-profile=ci`` (tests/conftest.py).
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
     @given(st.lists(st.lists(_op, min_size=1, max_size=6), min_size=1, max_size=6))
     def test_group_commit_equals_serial_application(self, groups):
         """Merging N batches and committing once ≡ committing them in order."""
@@ -196,123 +203,178 @@ class TestGroupCommitEquivalence:
             grouped.close()
 
 
-class _StalledCommit:
-    """Hold the DB's commit lock so writers pile up in the queue."""
-
-    def __init__(self, db):
-        self._db = db
-
-    def __enter__(self):
-        self._db._lock.acquire()
-        return self
-
-    def __exit__(self, *exc):
-        self._db._lock.release()
-
-
-def _spawn_writer(db, batch, errors=None, write_options=None):
+def _spawn_writer(db, batches, errors):
     def run():
         try:
-            db.write(batch, write_options)
-        except BaseException as exc:  # noqa: BLE001 — collected for assertions
-            if errors is not None:
-                errors.append(exc)
-            else:
-                raise
+            for batch in batches:
+                db.write(batch)
+        except Exception as exc:  # noqa: BLE001 — collected for assertions
+            errors.append(exc)
 
     thread = threading.Thread(target=run)
     thread.start()
     return thread
 
 
-def _wait_for_queue_depth(db, depth, timeout=5.0):
-    import time
+def _writer_batches(writer, batches, ops):
+    """``batches`` batches of ``ops`` puts each, keyed by writer/batch/op."""
+    return [
+        batch_of(
+            [("put", b"w%d.b%03d.op%d" % (writer, b, op), b"v%d" % op)
+             for op in range(ops)]
+        )
+        for b in range(batches)
+    ]
 
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        with db._queue_lock:
-            if len(db._writer_queue) >= depth:
-                return
-        time.sleep(0.001)
-    raise AssertionError(f"writer queue never reached depth {depth}")
+
+def _wal_records(db):
+    """(batch, first sequence) of every record in the live WAL."""
+    path = db.env.join(db.name, log_file_name(db._wal_number))  # noqa: SLF001
+    reader = LogReader(db.env.new_sequential_file(path))
+    try:
+        return [WriteBatch.deserialize(record) for record in reader]
+    finally:
+        reader.close()
 
 
-class TestWriterQueue:
-    def test_leader_merges_stalled_followers(self):
-        db = mem_db()
-        threads = []
-        with _StalledCommit(db):
-            # The first writer becomes leader and blocks on the commit
-            # lock; the rest park as followers behind it.
-            for i in range(4):
-                batch = batch_of([("put", b"k%d" % i, b"v%d" % i)])
-                threads.append(_spawn_writer(db, batch))
-                _wait_for_queue_depth(db, i + 1)
-        for thread in threads:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        assert {db.get(b"k%d" % i) for i in range(4)} == {b"v0", b"v1", b"v2", b"v3"}
-        assert db.stats.group_commits == 1
-        assert db.stats.batches_merged == 3
-        assert db.stats.max_commit_queue_depth == 4
-        # One WAL record for the whole group.
-        assert db.stats.wal_records == 1
-        db.close()
+def _assert_batches_atomic(db, writers, batches, ops):
+    """Each batch is one WAL record and holds consecutive sequences."""
+    seqs = {}
+    for ikey, _ in db._mem.entries():  # noqa: SLF001
+        parsed = decode_internal_key(ikey)
+        seqs[parsed.user_key] = parsed.sequence
+    assert len(seqs) == writers * batches * ops
+    for w in range(writers):
+        for b in range(batches):
+            run = [seqs[b"w%d.b%03d.op%d" % (w, b, op)] for op in range(ops)]
+            assert run == list(range(run[0], run[0] + ops)), (w, b, run)
+    assert sorted(seqs.values()) == list(range(1, len(seqs) + 1))
+    records = _wal_records(db)
+    assert len(records) == writers * batches
+    for batch, sequence in records:
+        keys = [key for _, key, _ in batch.items()]
+        prefix = keys[0].rsplit(b".", 1)[0]
+        assert keys == [b"%s.op%d" % (prefix, op) for op in range(ops)]
+        assert sequence == seqs[keys[0]]
 
-    def test_incompatible_follower_promoted_to_leader(self):
-        # A disable_wal follower cannot ride a WAL leader's group; the
-        # finishing leader must wake it with done unset so it leads its
-        # own group (the gate-handoff path).
-        db = mem_db()
-        threads = []
-        with _StalledCommit(db):
-            threads.append(_spawn_writer(db, batch_of([("put", b"a", b"1")])))
-            _wait_for_queue_depth(db, 1)
-            threads.append(
-                _spawn_writer(
-                    db,
-                    batch_of([("put", b"b", b"2")]),
-                    write_options=WriteOptions(disable_wal=True),
-                )
-            )
-            _wait_for_queue_depth(db, 2)
-        for thread in threads:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        assert db.get(b"a") == b"1"
-        assert db.get(b"b") == b"2"
-        assert db.stats.group_commits == 0  # two singleton groups
-        assert db.stats.wal_records == 1  # only the WAL-enabled batch
-        db.close()
 
-    def test_failed_commit_attributed_to_every_member(self):
-        db = mem_db()
+class _CommitProbe:
+    """A ``cpu_charge`` hook that parks mid-commit and counts overlaps.
+
+    Each test batch is one charge segment, so one call is one commit.
+    ``peak`` is the most commits ever inside the hook at once; with
+    ``lock`` set to a sim-world ``DB._lock``, ``contended`` counts calls
+    made while another process waited on that lock.
+    """
+
+    def __init__(self, park):
+        self.park = park
+        self.lock = None
+        self.inside = 0
+        self.peak = 0
+        self.contended = 0
+
+    def __call__(self, nbytes, kind):
+        self.inside += 1
+        self.peak = max(self.peak, self.inside)
+        if self.lock is not None and self.lock._sim_waiters:  # noqa: SLF001
+            self.contended += 1
+        self.park()
+        self.inside -= 1
+
+
+class TestConcurrentWriters:
+    """Writers share the one commit path, serialized by ``DB._lock``."""
+
+    WRITERS, BATCHES, OPS = 4, 25, 5
+
+    def test_real_threads_commit_each_batch_atomically(self):
+        # The CPU hook sleeps mid-commit with the lock held, so the
+        # other threads pile up on the lock; none may enter the commit.
+        probe = _CommitProbe(lambda: time.sleep(1e-4))
+        db = mem_db(cpu_charge=probe)
         errors = []
-        threads = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                _spawn_writer(
+                    db, _writer_batches(w, self.BATCHES, self.OPS), errors
+                )
+                for w in range(self.WRITERS)
+            ]
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert probe.peak == 1
+        _assert_batches_atomic(db, self.WRITERS, self.BATCHES, self.OPS)
+        for w in range(self.WRITERS):
+            for b in range(self.BATCHES):
+                for op in range(self.OPS):
+                    assert db.get(b"w%d.b%03d.op%d" % (w, b, op)) == b"v%d" % op
+        assert db.stats.writes == self.WRITERS * self.BATCHES * self.OPS
+        assert db.stats.wal_records == self.WRITERS * self.BATCHES
+        db.close()
 
-        def sabotage(group):
-            raise OstUnavailableError("ost0003 unavailable")
+    def test_sim_processes_contend_on_the_lock(self):
+        # Two sim processes, one DB: the CPU charge parks the committing
+        # process in simulated time with the lock held, so the other one
+        # must wait on the lock's sim event rather than block a thread.
+        writers = 2
+        probe = _CommitProbe(lambda: sim.sleep(1e-6))
+        db = mem_db(cpu_charge=probe)
+        probe.lock = db._lock  # noqa: SLF001
 
-        with _StalledCommit(db):
-            for i in range(3):
-                batch = batch_of([("put", b"k%d" % i, b"v")])
-                threads.append(_spawn_writer(db, batch, errors))
-                _wait_for_queue_depth(db, i + 1)
-            db._commit_group = sabotage
+        def writer(w):
+            for batch in _writer_batches(w, self.BATCHES, self.OPS):
+                db.write(batch)
+
+        with sim.Engine() as engine:
+            procs = [engine.spawn(writer, w) for w in range(writers)]
+            engine.run()
+        assert all(not proc.alive for proc in procs)
+        assert probe.contended > 0, "writers never contended on the lock"
+        assert probe.peak == 1
+        _assert_batches_atomic(db, writers, self.BATCHES, self.OPS)
+        assert db.stats.writes == writers * self.BATCHES * self.OPS
+        assert db.stats.wal_records == writers * self.BATCHES
+        db.close()
+
+
+class TestFailedCommit:
+    def test_failure_raises_in_its_own_writer_only(self):
+        db = mem_db()
+        real_commit = db._commit  # noqa: SLF001
+
+        def sabotage(batch, write_options):
+            if any(key.startswith(b"w1.") for _, key, _ in batch.items()):
+                raise OstUnavailableError("ost0003 unavailable")
+            real_commit(batch, write_options)
+
+        db._commit = sabotage  # noqa: SLF001
+        errors = {w: [] for w in range(3)}
+        threads = [
+            _spawn_writer(db, _writer_batches(w, 1, 3), errors[w])
+            for w in range(3)
+        ]
         for thread in threads:
             thread.join(timeout=5)
             assert not thread.is_alive()
 
-        # Every writer in the merged group observed the *same* failure.
-        assert len(errors) == 3
-        assert all(isinstance(exc, OstUnavailableError) for exc in errors)
-        assert len({id(exc) for exc in errors}) == 1
-        for i in range(3):
+        assert errors[0] == [] and errors[2] == []
+        assert len(errors[1]) == 1
+        assert isinstance(errors[1][0], OstUnavailableError)
+        for op in range(3):
+            assert db.get(b"w0.b000.op%d" % op) == b"v%d" % op
+            assert db.get(b"w2.b000.op%d" % op) == b"v%d" % op
             with pytest.raises(NotFoundError):
-                db.get(b"k%d" % i)
+                db.get(b"w1.b000.op%d" % op)
 
-        # The queue drained; the DB accepts writes again once healed.
-        del db._commit_group  # restore the class method
+        # The DB accepts writes again once healed.
+        del db._commit  # noqa: SLF001 — restore the class method
         db.put(b"after", b"ok")
         assert db.get(b"after") == b"ok"
         db.close()
