@@ -105,26 +105,6 @@ def _main(argv) -> int:
              "0 disables throttling",
     )
     parser.add_argument(
-        "--subcompactions", type=int, default=None, metavar="N",
-        help="max key-range partitions per compaction (LSMIO engines; "
-             "partition boundaries are fan-out independent, so outputs "
-             "stay byte-identical)",
-    )
-    parser.add_argument(
-        "--l0-slowdown", type=int, default=None, metavar="FILES",
-        help="L0 file count where foreground writes start slowing down "
-             "(LSMIO engines with compaction enabled)",
-    )
-    parser.add_argument(
-        "--l0-stop", type=int, default=None, metavar="FILES",
-        help="L0 file count where foreground writes park outright",
-    )
-    parser.add_argument(
-        "--pacing", action="store_true",
-        help="enable stall-aware compaction pacing (smooth write delay "
-             "+ rate-limiter boost instead of trigger cliffs)",
-    )
-    parser.add_argument(
         "--mds-shards", type=int, default=None, metavar="N",
         help="DNE metadata shards (default 1: single MDS, bit-identical "
              "to the unsharded path)",
@@ -197,16 +177,6 @@ def _main(argv) -> int:
     if args.md_cache:
         cluster_overrides["md_cache"] = True
 
-    lsmio_params: dict = {}
-    if args.subcompactions is not None:
-        lsmio_params["max_subcompactions"] = args.subcompactions
-    if args.l0_slowdown is not None:
-        lsmio_params["level0_slowdown_writes_trigger"] = args.l0_slowdown
-    if args.l0_stop is not None:
-        lsmio_params["level0_stop_writes_trigger"] = args.l0_stop
-    if args.pacing:
-        lsmio_params["compaction_pacing"] = True
-
     payload: dict = {}
     if args.target == "fig1":
         result = fig1_history()
@@ -277,7 +247,6 @@ def _main(argv) -> int:
                 ),
                 bytes_per_task=bytes_per_task,
                 repetitions=args.reps,
-                lsmio_params=lsmio_params or None,
             )
             print(figure.table())
             print()

@@ -78,21 +78,9 @@ def _sweep(
     stripe_count: int = 4,
     read_back: bool = False,
     repetitions: int = 1,
-    lsmio_params: Optional[dict] = None,
     **extra,
 ) -> tuple[list[float], list[Optional[float]]]:
-    """One API's write (and optionally read) series over node counts.
-
-    ``lsmio_params`` are extra :class:`~repro.core.options.LsmioOptions`
-    fields (subcompaction fan-out, stall triggers, pacing...) applied to
-    LSMIO-backed APIs only; sweep-specific ``engine_params`` win on key
-    conflicts.  None (the default) changes nothing — figures stay
-    bit-identical to their goldens.
-    """
-    if lsmio_params and api in ("lsmio", "lsmio-plugin"):
-        merged = dict(lsmio_params)
-        merged.update(extra.get("engine_params") or {})
-        extra = {**extra, "engine_params": merged}
+    """One API's write (and optionally read) series over node counts."""
     transfer = parse_size(transfer_size)
     writes: list[float] = []
     reads: list[Optional[float]] = []
@@ -125,7 +113,6 @@ def fig5_ior_vs_lsmio(
     cluster: Optional[LustreConfig] = None,
     bytes_per_task: int = DEFAULT_BYTES_PER_TASK,
     repetitions: int = 1,
-    lsmio_params: Optional[dict] = None,
 ) -> FigureResult:
     cluster = cluster or default_cluster()
     result = FigureResult(
@@ -139,7 +126,6 @@ def fig5_ior_vs_lsmio(
             writes, _ = _sweep(
                 api, node_counts, transfer, cluster,
                 bytes_per_task=bytes_per_task, repetitions=repetitions,
-                lsmio_params=lsmio_params,
             )
             result.series[label] = writes
 
@@ -172,7 +158,6 @@ def fig6_hdf5_adios2(
     cluster: Optional[LustreConfig] = None,
     bytes_per_task: int = DEFAULT_BYTES_PER_TASK,
     repetitions: int = 1,
-    lsmio_params: Optional[dict] = None,
 ) -> FigureResult:
     cluster = cluster or default_cluster()
     result = FigureResult(
@@ -186,7 +171,6 @@ def fig6_hdf5_adios2(
             writes, _ = _sweep(
                 api, node_counts, transfer, cluster,
                 bytes_per_task=bytes_per_task, repetitions=repetitions,
-                lsmio_params=lsmio_params,
             )
             result.series[label] = writes
 
@@ -222,7 +206,6 @@ def fig7_plugin(
     cluster: Optional[LustreConfig] = None,
     bytes_per_task: int = DEFAULT_BYTES_PER_TASK,
     repetitions: int = 1,
-    lsmio_params: Optional[dict] = None,
 ) -> FigureResult:
     cluster = cluster or default_cluster()
     result = FigureResult(
@@ -235,7 +218,6 @@ def fig7_plugin(
             writes, _ = _sweep(
                 api, node_counts, transfer, cluster,
                 bytes_per_task=bytes_per_task, repetitions=repetitions,
-                lsmio_params=lsmio_params,
             )
             result.series[f"{api}/{transfer}"] = writes
 
@@ -259,7 +241,6 @@ def fig8_stripe_counts(
     cluster: Optional[LustreConfig] = None,
     bytes_per_task: int = DEFAULT_BYTES_PER_TASK,
     repetitions: int = 1,
-    lsmio_params: Optional[dict] = None,
 ) -> FigureResult:
     cluster = cluster or default_cluster()
     result = FigureResult(
@@ -274,7 +255,6 @@ def fig8_stripe_counts(
                 bytes_per_task=bytes_per_task,
                 stripe_count=stripe_count,
                 repetitions=repetitions,
-                lsmio_params=lsmio_params,
             )
             result.series[f"{api}/sc{stripe_count}"] = writes
 
@@ -298,8 +278,6 @@ def fig9_collective(
     cluster: Optional[LustreConfig] = None,
     bytes_per_task: int = DEFAULT_BYTES_PER_TASK,
     repetitions: int = 1,
-    include_lsmio_collective: bool = True,
-    lsmio_params: Optional[dict] = None,
 ) -> FigureResult:
     cluster = cluster or default_cluster()
     result = FigureResult(
@@ -317,20 +295,17 @@ def fig9_collective(
     for label, api, extra in sweeps:
         writes, _ = _sweep(
             api, node_counts, "64K", cluster,
-            bytes_per_task=bytes_per_task, repetitions=repetitions,
-            lsmio_params=lsmio_params, **extra,
+            bytes_per_task=bytes_per_task, repetitions=repetitions, **extra,
         )
         result.series[label] = writes
-    if include_lsmio_collective:
-        # The paper's §5.1 future work: LSMIO's own collective mode
-        # (grouped aggregation through the K/V layer).
-        writes, _ = _sweep(
-            "lsmio", node_counts, "64K", cluster,
-            bytes_per_task=bytes_per_task, repetitions=repetitions,
-            lsmio_params=lsmio_params,
-            engine_params={"collective_group_size": 8},
-        )
-        result.series["lsmio+col(fw)"] = writes
+    # The paper's §5.1 future work: LSMIO's own collective mode
+    # (grouped aggregation through the K/V layer).
+    writes, _ = _sweep(
+        "lsmio", node_counts, "64K", cluster,
+        bytes_per_task=bytes_per_task, repetitions=repetitions,
+        engine_params={"collective_group_size": 8},
+    )
+    result.series["lsmio+col(fw)"] = writes
 
     last = node_counts[-1]
     result.ratios["collective improves IOR at max concurrency"] = (
@@ -359,7 +334,6 @@ def fig10_read(
     cluster: Optional[LustreConfig] = None,
     bytes_per_task: int = DEFAULT_BYTES_PER_TASK,
     repetitions: int = 1,
-    lsmio_params: Optional[dict] = None,
 ) -> FigureResult:
     cluster = cluster or default_cluster()
     result = FigureResult(
@@ -381,7 +355,7 @@ def fig10_read(
         _, reads = _sweep(
             api, node_counts, "64K", cluster,
             bytes_per_task=bytes_per_task, read_back=True,
-            repetitions=repetitions, lsmio_params=lsmio_params, **extra,
+            repetitions=repetitions, **extra,
         )
         result.series[label] = reads
 

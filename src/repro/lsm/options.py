@@ -47,14 +47,6 @@ class ChecksumType(enum.Enum):
     CRC32C = "crc32c"
     ZLIB_CRC32 = "zlib-crc32"
 
-    def function(self) -> Callable[[bytes], int]:
-        """Return the raw 32-bit checksum function for this type."""
-        if self is ChecksumType.CRC32C:
-            return crc32c
-        if self is ChecksumType.ZLIB_CRC32:
-            return lambda data: zlib.crc32(data) & 0xFFFFFFFF
-        return lambda data: 0
-
     def incremental(self) -> Callable[..., int]:
         """Return ``fn(data, crc=0) -> crc`` continuing a running checksum.
 

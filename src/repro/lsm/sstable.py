@@ -40,6 +40,7 @@ from repro.lsm.options import (
     Options,
     ReadOptions,
 )
+from repro.util.crc import mask_crc
 from repro.util.varint import (
     decode_varint64,
     encode_varint64,
@@ -51,10 +52,6 @@ BLOCK_TRAILER_SIZE = 5
 
 FILTER_KEY = b"filter.bloom"
 PROPERTIES_KEY = b"properties"
-
-
-def _mask(crc: int) -> int:
-    return (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
 
 
 _NONE_TYPE_BYTE = bytes([int(CompressionType.NONE)])
@@ -156,7 +153,7 @@ class TableBuilder:
         handle = BlockHandle(self._offset, len(payload))
         type_byte = bytes([int(ctype)])
         if self._checksum_enabled:
-            crc = _mask(self._crc2(type_byte, self._crc2(payload)))
+            crc = mask_crc(self._crc2(type_byte, self._crc2(payload)))
         else:
             crc = 0
         self._dest.append(payload)
@@ -179,7 +176,7 @@ class TableBuilder:
             crc2 = self._crc2
             for part in parts:
                 crc = crc2(part, crc)
-            crc = _mask(crc2(_NONE_TYPE_BYTE, crc))
+            crc = mask_crc(crc2(_NONE_TYPE_BYTE, crc))
         else:
             crc = 0
         dest = self._dest
@@ -310,7 +307,7 @@ class Table:
             # of the read buffer: no concatenated copy.
             view = memoryview(raw)
             crc = self._crc2(view[size : size + 1], self._crc2(view[:size]))
-            actual = _mask(crc)
+            actual = mask_crc(crc)
             expected = int.from_bytes(raw[size + 1 : size + 5], "little")
             if expected != actual:
                 raise CorruptionError(

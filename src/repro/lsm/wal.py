@@ -20,6 +20,7 @@ import struct
 from repro.errors import CorruptionError
 from repro.lsm.env import SequentialFile, WritableFile
 from repro.lsm.options import ChecksumType
+from repro.util.crc import mask_crc
 
 BLOCK_SIZE = 32 * 1024
 HEADER_SIZE = 7
@@ -35,12 +36,8 @@ class RecordType(enum.IntEnum):
     LAST = 4
 
 
-def _mask(crc: int) -> int:
-    return (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
-
-
-#: one-byte strings per record type, so checksumming never concatenates
-_TYPE_BYTES = [bytes([t]) for t in range(max(RecordType) + 1)]
+#: one-byte strings per type byte, so checksumming never concatenates
+_TYPE_BYTES = [bytes([t]) for t in range(256)]
 _PADDING = b"\x00" * HEADER_SIZE
 
 
@@ -92,7 +89,7 @@ class LogWriter:
                 rtype = RecordType.MIDDLE
             if self._checksum_enabled:
                 # LevelDB checksums the type byte followed by the payload.
-                crc = _mask(self._crc2(fragment, self._crc2(_TYPE_BYTES[rtype])))
+                crc = mask_crc(self._crc2(fragment, self._crc2(_TYPE_BYTES[rtype])))
             else:
                 crc = 0
             scratch += _HEADER.pack(crc, len(fragment), rtype)
@@ -132,7 +129,7 @@ class LogReader:
         allow_partial: bool = True,
     ):
         self._src = src
-        self._crc_fn = checksum.function()
+        self._crc2 = checksum.incremental()
         self._verify = checksum is not ChecksumType.NONE
         self._allow_partial = allow_partial
         self._block = b""
@@ -164,7 +161,9 @@ class LogReader:
             payload = self._block[start : start + length]
             self._block_pos = start + length
             if self._verify:
-                expected = _mask(self._crc_fn(bytes([rtype]) + payload))
+                expected = mask_crc(
+                    self._crc2(payload, self._crc2(_TYPE_BYTES[rtype]))
+                )
                 if expected != crc:
                     if self._allow_partial:
                         return None

@@ -7,11 +7,10 @@ paper's single background flush thread (§3.1.2).  ``drain()`` is the
 write barrier; it accepts a priority filter so checkpoint barriers wait
 only on FOREGROUND+FLUSH work while a trailing compaction keeps running.
 
-Error contract (matches :class:`repro.lsm.executors.ThreadExecutor`):
-jobs are chained, so the *first* failure propagates down the chain and
-``drain()`` re-raises that first exception exactly once; jobs submitted
-after the error has been reported at a barrier run normally.  ``close()``
-is idempotent — a second call is a no-op even if the first one raised.
+Failures follow the one contract of :class:`repro.lsm.executors.Executor`:
+a job records its own exception instead of failing its process, so the
+job chained behind it still runs, and the next ``drain()`` — of any
+classes — re-raises the first failure exactly once.
 """
 
 from __future__ import annotations
@@ -21,25 +20,6 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from repro import sim
 from repro.io import Priority, io_priority
 from repro.lsm.executors import Executor
-
-
-def _propagated_error(
-    exc: BaseException, proc: sim.Process
-) -> Optional[BaseException]:
-    """``proc``'s original failure, if ``exc`` is how ``sim.wait`` surfaced it.
-
-    ``sim.wait`` hands each waiter a per-waiter replica chained to the
-    original via ``__cause__`` (so tracebacks don't accrete across
-    waiters); the executor's error bookkeeping is by identity, so unwrap
-    back to the original instance.  Returns None for unrelated exceptions
-    (e.g. :class:`sim.ProcessKilled`), which callers must re-raise.
-    """
-    original = proc.error
-    if original is None:
-        return None
-    if exc is original or exc.__cause__ is original:
-        return original
-    return None
 
 
 class SimExecutor(Executor):
@@ -58,47 +38,24 @@ class SimExecutor(Executor):
         self._last: Optional[sim.Process] = None
         self._last_by_class: Dict[Priority, sim.Process] = {}
         self._count = 0
-        self._closed = False
-        #: exception instances already re-raised at a barrier — they must
-        #: not poison later jobs or surface twice (id() keys: exceptions
-        #: are compared by identity, never equality)
-        self._reported: set[int] = set()
 
     def submit(
         self, job: Callable[[], None], priority: Priority = Priority.FLUSH
     ) -> None:
-        if self._closed:
-            raise RuntimeError("executor is closed")
+        self._check_open()
         predecessor = self._last
         self._count += 1
 
         def run() -> None:
-            if predecessor is not None:
-                if predecessor.alive:
-                    try:
-                        sim.wait(predecessor.done)
-                    except BaseException as exc:
-                        original = _propagated_error(exc, predecessor)
-                        if original is None:
-                            raise
-                        if id(original) not in self._reported:
-                            # Re-raise the *original* instance so every
-                            # poisoned job in the chain carries the first
-                            # failure, preserving drain()'s raise-once
-                            # identity bookkeeping.
-                            raise original
-                        # already surfaced at a barrier
-                elif (
-                    predecessor.error is not None
-                    and id(predecessor.error) not in self._reported
-                ):
-                    raise predecessor.error
-            with io_priority(priority):
-                job()
+            if predecessor is not None and predecessor.alive:
+                sim.wait(predecessor.done)
+            try:
+                with io_priority(priority):
+                    job()
+            except Exception as exc:  # not BaseException: ProcessKilled unwinds
+                self._record(exc)
 
-        # Daemon: a failed flush must surface at drain() — the write
-        # barrier — like ThreadExecutor's deferred error, not crash the
-        # event loop from a background process.
+        # Daemon: the engine never waits on background work; drain() does.
         proc = self._engine.spawn(
             run, name=f"{self._name}-{self._count}", daemon=True
         )
@@ -125,29 +82,12 @@ class SimExecutor(Executor):
             priorities = tuple(priorities)
         while True:
             targets = self._targets(priorities)
-            if not targets:
-                return
             for proc in targets:
                 if proc.alive:
-                    try:
-                        sim.wait(proc.done)
-                    except BaseException as exc:
-                        if _propagated_error(exc, proc) is None:
-                            raise
-                        # else: collected below, raised exactly once
+                    sim.wait(proc.done)
             if self._targets(priorities) == targets:
                 break
-        first: Optional[BaseException] = None
-        for proc in targets:
-            exc = proc.error
-            if exc is not None and id(exc) not in self._reported:
-                self._reported.add(id(exc))
-                # Chained propagation makes every poisoned job carry the
-                # *first* failure's instance, so this is the first error.
-                if first is None:
-                    first = exc
-        if first is not None:
-            raise first
+        self._raise_recorded()
 
     def run_jobs(
         self,
@@ -168,35 +108,25 @@ class SimExecutor(Executor):
             with io_priority(priority):
                 jobs[0]()
             return
+        errors: list[Optional[Exception]] = [None] * len(jobs)
         procs: list[sim.Process] = []
         for index, job in enumerate(jobs):
 
-            def run(job: Callable[[], None] = job) -> None:
-                with io_priority(priority):
-                    job()
+            def run(index: int = index, job: Callable[[], None] = job) -> None:
+                try:
+                    with io_priority(priority):
+                        job()
+                except Exception as exc:  # not BaseException: ProcessKilled unwinds
+                    errors[index] = exc
 
             procs.append(
                 self._engine.spawn(
                     run, name=f"{self._name}-sub{index}", daemon=True
                 )
             )
-        first: Optional[BaseException] = None
         for proc in procs:
             if proc.alive:
-                try:
-                    sim.wait(proc.done)
-                except BaseException as exc:
-                    if _propagated_error(exc, proc) is None:
-                        raise
-            if proc.error is not None and first is None:
-                first = proc.error
+                sim.wait(proc.done)
+        first = next((exc for exc in errors if exc is not None), None)
         if first is not None:
             raise first
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        # Flag first: a deferred job error raised out of this drain must
-        # not resurface if close() is called again.
-        self._closed = True
-        self.drain()

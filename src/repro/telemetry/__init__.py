@@ -49,7 +49,6 @@ __all__ = [
     "install",
     "uninstall",
     "current",
-    "session",
     "validate_payload",
 ]
 
@@ -210,22 +209,3 @@ def uninstall() -> None:
 def current() -> Optional[Telemetry]:
     return _runtime.TELEMETRY
 
-
-class session:
-    """Context manager: install on enter, uninstall on exit."""
-
-    def __init__(
-        self,
-        telemetry: Optional[Telemetry] = None,
-        sampler: Optional[GaugeSampler] = None,
-        profiler: Optional[EngineProfiler] = None,
-    ):
-        self._telemetry = telemetry
-        self._sampler = sampler
-        self._profiler = profiler
-
-    def __enter__(self) -> Telemetry:
-        return install(self._telemetry, self._sampler, self._profiler)
-
-    def __exit__(self, *exc) -> None:
-        uninstall()

@@ -136,10 +136,14 @@ def crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
     return ~_update(reg, view) & 0xFFFFFFFF
 
 
-def crc32c_masked(data: bytes | bytearray | memoryview) -> int:
-    """CRC-32C with LevelDB's mask applied (safe to embed in checked data)."""
-    crc = crc32c(data)
+def mask_crc(crc: int) -> int:
+    """LevelDB's mask of a 32-bit CRC (safe to embed in checked data)."""
     return (((crc >> 15) | (crc << 17)) + _MASK_DELTA) & 0xFFFFFFFF
+
+
+def crc32c_masked(data: bytes | bytearray | memoryview) -> int:
+    """CRC-32C with LevelDB's mask applied."""
+    return mask_crc(crc32c(data))
 
 
 def crc32c_unmask(masked: int) -> int:

@@ -6,6 +6,7 @@ produce complete, well-formed results quickly.
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.figures import (
     FigureResult,
     default_cluster,
@@ -65,3 +66,14 @@ class TestFig9Driver:
         assert "ior+col" in figure.series
         for series in figure.series.values():
             assert all(v > 0 for v in series)
+
+
+def test_cli_rejects_engine_flags():
+    """The figure CLI has no LSMIO engine flags: argparse refuses them.
+
+    ``--pacing`` and friends once reached ADIOS2's parameters through the
+    plugin sweeps and crashed fig7 with a TypeError.
+    """
+    with pytest.raises(SystemExit) as info:
+        main(["fig7", "--nodes", "1", "--bytes-per-task", "128K", "--pacing"])
+    assert info.value.code == 2

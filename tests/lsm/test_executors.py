@@ -1,17 +1,45 @@
 """Executor contract tests: error ordering, idempotent close, class drain.
 
-Pins the documented contract of :mod:`repro.lsm.executors`:
-``drain()`` re-raises the *first* failed job's exception (submission
-order) exactly once, and ``close()`` is idempotent even when the first
-call surfaced a deferred error.
+Pins the error contract that :class:`repro.lsm.executors.Executor` holds
+for both background executors: ``drain()`` re-raises the *first* failed
+job's exception (submission order) exactly once, whatever classes it
+waited on, jobs queued behind a failure still run, and ``close()`` is
+idempotent even when the first call surfaced a recorded error.  Cases
+that need no blocking run against :class:`ThreadExecutor` and
+:class:`~repro.sim.executor.SimExecutor` alike.
 """
 
 import threading
 
 import pytest
 
+from repro import sim
 from repro.io import Priority, current_priority
 from repro.lsm.executors import SyncExecutor, ThreadExecutor
+from repro.sim.executor import SimExecutor
+
+
+def _on_thread(body):
+    return body(ThreadExecutor())
+
+
+def _on_sim(body):
+    """Run ``body`` inside a sim process (sim jobs need a running engine)."""
+    with sim.Engine() as engine:
+        proc = engine.spawn(lambda: body(SimExecutor(engine)))
+        engine.run()
+        return proc.result
+
+
+background = pytest.mark.parametrize(
+    "run", [_on_thread, _on_sim], ids=["thread", "sim"]
+)
+
+
+def _fail(exc):
+    def job():
+        raise exc
+    return job
 
 
 class TestSyncExecutor:
@@ -31,38 +59,59 @@ class TestSyncExecutor:
         executor.close()
 
 
-class TestThreadExecutor:
-    def test_drain_reraises_first_error_even_when_later_jobs_fail(self):
-        executor = ThreadExecutor()
-        first = ValueError("first failure")
-        second = ValueError("second failure")
+@background
+def test_first_failure_wins_and_is_raised_once(run):
+    first = ValueError("first failure")
+    second = ValueError("second failure")
 
-        def fail(exc):
-            def job():
-                raise exc
-            return job
-
-        executor.submit(fail(first))
-        executor.submit(fail(second))
-        executor.submit(lambda: None)
+    def body(executor):
+        ran = []
+        executor.submit(_fail(first))
+        executor.submit(_fail(second))
+        executor.submit(lambda: ran.append(True))
         with pytest.raises(ValueError) as info:
             executor.drain()
-        # single worker runs jobs in submission order: the first
-        # submitted failure wins; the later one is dropped, not raised
+        # jobs run in submission order: the first submitted failure wins,
+        # the later one is dropped, and the job behind both still runs
         assert info.value is first
-        executor.drain()  # the error was consumed — barrier is clean now
+        assert ran == [True]
+        executor.drain()  # the error was consumed: the barrier is clean
         executor.close()
 
+    run(body)
+
+
+@background
+def test_close_idempotent_after_error(run):
+    def body(executor):
+        executor.submit(_fail(OSError("disk full")))
+        with pytest.raises(OSError):
+            executor.close()
+        # The first close raised the recorded error but still shut the
+        # executor down; further closes are no-ops.
+        executor.close()
+        executor.close()
+
+    run(body)
+
+
+@background
+def test_submit_after_close_raises(run):
+    def body(executor):
+        executor.close()
+        with pytest.raises(RuntimeError):
+            executor.submit(lambda: None)
+
+    run(body)
+
+
+class TestThreadExecutor:
     def test_error_raised_exactly_once(self):
         """A failed job surfaces at the next barrier, then is consumed —
         later barriers and close() don't re-raise it."""
         executor = ThreadExecutor()
         boom = RuntimeError("compaction failed")
-
-        def job():
-            raise boom
-
-        executor.submit(job, priority=Priority.COMPACTION)
+        executor.submit(_fail(boom), priority=Priority.COMPACTION)
         with pytest.raises(RuntimeError) as info:
             executor.drain(priorities=(Priority.COMPACTION,))
         assert info.value is boom
@@ -93,32 +142,12 @@ class TestThreadExecutor:
         assert done == ["flush", "compaction"]
         executor.close()
 
-    def test_close_idempotent_after_deferred_error(self):
-        executor = ThreadExecutor()
-        executor.submit(lambda: (_ for _ in ()).throw(OSError("disk full")))
-        with pytest.raises(OSError):
-            executor.close()
-        # The first close raised the deferred error but still shut the
-        # worker down; further closes are no-ops.
-        executor.close()
-        executor.close()
-
-    def test_submit_after_close_raises(self):
-        executor = ThreadExecutor()
-        executor.close()
-        with pytest.raises(RuntimeError):
-            executor.submit(lambda: None)
-
 
 class TestThreadExecutorFilteredError:
     def test_filtered_drain_reraises_recorded_error(self):
         executor = ThreadExecutor()
         boom = RuntimeError("flush failed")
-
-        def job():
-            raise boom
-
-        executor.submit(job, priority=Priority.FLUSH)
+        executor.submit(_fail(boom), priority=Priority.FLUSH)
         with pytest.raises(RuntimeError) as info:
             # Filtering classes never filters errors: the barrier
             # surfaces whatever already failed.

@@ -1,4 +1,8 @@
-"""Tests for the simulated flush executor (async writes in sim time)."""
+"""Tests for the simulated flush executor (async writes in sim time).
+
+The error-contract cases shared with ``ThreadExecutor`` run against both
+executors in ``tests/lsm/test_executors.py``.
+"""
 
 from repro import sim
 from repro.io import Priority
@@ -104,7 +108,7 @@ def test_drain_raises_first_error_exactly_once():
                 raise boom
 
             executor.submit(bad)
-            # chained behind the failure: poisoned, never runs
+            # chained behind the failure: still runs
             executor.submit(lambda: sim.sleep(1.0))
             try:
                 executor.drain()
@@ -119,47 +123,75 @@ def test_drain_raises_first_error_exactly_once():
         engine.run()
         raised_first, now = proc.result
         assert raised_first
-        assert now == 0.0   # the queued sleep was poisoned by the failure
+        assert now == 1.0   # the queued sleep ran after the failure
 
 
-def test_close_idempotent_after_error():
+def test_filtered_drain_raises_recorded_failure_of_another_class():
+    """A barrier on FOREGROUND+FLUSH surfaces a failed compaction."""
     with sim.Engine() as engine:
         def main():
             executor = SimExecutor(engine)
-            executor.submit(lambda: (_ for _ in ()).throw(OSError("enospc")))
+            boom = RuntimeError("compaction failed")
+
+            def bad():
+                raise boom
+
+            executor.submit(bad, priority=Priority.COMPACTION)
+            sim.sleep(1.0)   # the compaction runs and fails meanwhile
             try:
-                executor.close()
-            except OSError:
-                first_raised = True
+                executor.drain(
+                    priorities=(Priority.FOREGROUND, Priority.FLUSH)
+                )
+            except RuntimeError as exc:
+                seen = exc
             else:
-                first_raised = False
-            executor.close()   # no-op, must not re-raise
-            executor.close()
-            return first_raised
+                seen = None
+            executor.close()  # consumed: close does not raise it again
+            return seen is boom
 
         proc = engine.spawn(main)
         engine.run()
         assert proc.result is True
 
 
-def test_submit_after_close_raises():
+def test_run_jobs_runs_every_job_and_raises_first_by_index():
     with sim.Engine() as engine:
+        log = []
+
         def main():
             executor = SimExecutor(engine)
-            executor.close()
+            first = OSError("partition 1")
+
+            def fail(exc, delay):
+                def job():
+                    sim.sleep(delay)
+                    raise exc
+                return job
+
+            def ok():
+                sim.sleep(3.0)
+                log.append("ok")
+
             try:
-                executor.submit(lambda: None)
-            except RuntimeError:
-                return True
-            return False
+                executor.run_jobs(
+                    [ok, fail(first, 2.0), fail(OSError("partition 2"), 1.0)]
+                )
+            except OSError as exc:
+                seen = exc
+            else:
+                seen = None
+            return seen is first, sim.now()
 
         proc = engine.spawn(main)
         engine.run()
-        assert proc.result is True
+        raised_first, now = proc.result
+        assert raised_first
+        assert now == 3.0    # the partitions overlapped; all finished
+        assert log == ["ok"]
 
 
 def test_jobs_submitted_after_reported_error_run_normally():
-    """An already-reported error must not poison later submissions."""
+    """An already-reported error does not stop later submissions."""
     with sim.Engine() as engine:
         log = []
 
