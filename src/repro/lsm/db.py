@@ -25,6 +25,7 @@ from repro.errors import (
     InvalidArgumentError,
     NotFoundError,
     SimulationError,
+    StorageIOError,
 )
 from repro.lsm.batch import WriteBatch
 from repro.lsm.cache import LRUCache
@@ -181,6 +182,8 @@ class DB:
         self._wal: Optional[LogWriter] = None
         self._wal_number = 0
         self._obsolete_wals: list[int] = []
+        # First failed flush (LevelDB's bg_error_); see _flush_job.
+        self._bg_error: Optional[Exception] = None
         self._table_cache = LRUCache(MAX_OPEN_FILES)
         self._block_cache = LRUCache(BLOCK_CACHE_CAPACITY)
         self._snapshots: list[Snapshot] = []
@@ -341,7 +344,7 @@ class DB:
             return
         self._maybe_stall_write()
         with self._lock:
-            self._check_open()
+            self._check_writable()
             self._commit(batch, write_options)
 
     def _commit(self, batch: WriteBatch, write_options: WriteOptions) -> None:
@@ -569,7 +572,36 @@ class DB:
         retired_wals: list[int],
         min_log: Optional[int] = None,
     ) -> None:
-        """Write one frozen memtable as an L0 SSTable and install it."""
+        """Write one frozen memtable as an L0 SSTable and install it.
+
+        A failed flush leaves its memtable in ``_imm`` and its WAL on
+        disk, and records the DB's background error.  Every later flush
+        then stands down: installing one would retire the failed
+        memtable's WAL (losing its writes at the next crash) and put a
+        newer table behind an older memtable on the read path.  Writes
+        and barriers fail from then on; reopening replays the WALs.
+        """
+        if self._bg_error is not None:
+            return
+        try:
+            self._install_level0(frozen, file_number, retired_wals, min_log)
+        except Exception as exc:
+            self._bg_error = exc
+            raise
+        if self._options.enable_compaction:
+            # Separate job, separate service class: a write barrier can
+            # drain FLUSH work without waiting for the compaction debt.
+            self._executor.submit(
+                self._maybe_compact, priority=Priority.COMPACTION
+            )
+
+    def _install_level0(
+        self,
+        frozen: MemTable,
+        file_number: int,
+        retired_wals: list[int],
+        min_log: Optional[int],
+    ) -> None:
         with _trace.probe(
             "lsm", "memtable_flush", "lsm.flush", file=file_number
         ) as span:
@@ -609,17 +641,11 @@ class DB:
                     self._delete_if_exists(log_file_name(number))
                 if self._pacer is not None:
                     self._pacer.observe(self._versions.current, len(self._imm))
-        if self._options.enable_compaction:
-            # Separate job, separate service class: a write barrier can
-            # drain FLUSH work without waiting for the compaction debt.
-            self._executor.submit(
-                self._maybe_compact, priority=Priority.COMPACTION
-            )
 
     def flush(self, wait: bool = True) -> None:
         """Flush buffered writes to SSTables (LSMIO's write barrier body)."""
         with self._lock:
-            self._check_open()
+            self._check_writable()
             self._freeze_memtable(roll_wal=True)
         if wait:
             self._executor.drain()
@@ -1060,12 +1086,20 @@ class DB:
         if self._closed:
             raise ClosedError("database is closed")
 
+    def _check_writable(self) -> None:
+        self._check_open()
+        if self._bg_error is not None:
+            raise StorageIOError(
+                "a memtable flush failed; reopen the database to recover"
+            ) from self._bg_error
+
     def close(self) -> None:
         """Flush buffered writes and release every resource."""
         with self._lock:
             if self._closed:
                 return
-        self.flush()
+        if self._bg_error is None:
+            self.flush()
         if self._owns_executor:
             self._executor.close()
         else:
