@@ -12,10 +12,11 @@ with a two-phase commit protocol —
 
 A crash, dead OST, or exhausted retry budget anywhere in the middle
 leaves the epoch without a commit marker; restart
-(:meth:`Checkpointer.load_latest`) walks committed epochs newest-first,
-verifies every block against its manifest CRC, and falls back to the
-previous complete epoch on any corruption — so the recovered state is
-always some *complete* checkpoint, never a torn one.
+(:meth:`Checkpointer.load_latest`) walks the indexed epochs newest-first,
+checks the commit marker, verifies every block against its manifest
+CRC, and falls back to the previous complete epoch on any corruption —
+so the recovered state is always some *complete* checkpoint, never a
+torn one.
 
 :class:`DegradedWriteReport` is the structured account of what the fault
 path did during a barrier: retries absorbed, timeouts burned, backoff
@@ -176,16 +177,17 @@ class Checkpointer:
 
     def epochs(self) -> list[int]:
         """Committed epoch numbers, ascending (from the index)."""
+        return [
+            epoch for epoch in self._indexed_epochs() if self._is_committed(epoch)
+        ]
+
+    def _indexed_epochs(self) -> list[int]:
+        """Epoch numbers in the index, ascending, committed or not."""
         try:
             raw = self.manager.get(self._index_key)
         except NotFoundError:
             return []
-        seen: list[int] = []
-        for token in raw.decode("ascii").split():
-            epoch = int(token)
-            if epoch not in seen and self._is_committed(epoch):
-                seen.append(epoch)
-        return sorted(seen)
+        return sorted({int(token) for token in raw.decode("ascii").split()})
 
     def _is_committed(self, epoch: int) -> bool:
         try:
@@ -250,13 +252,14 @@ class Checkpointer:
     def load_latest(self) -> tuple[int, dict[str, Any]]:
         """Newest epoch that verifies end-to-end, falling back on damage.
 
-        Walks committed epochs newest-first; an epoch failing CRC
-        verification (torn blocks, lost data) is skipped in favour of the
-        previous complete one.  Raises
+        Walks the index newest-first; an epoch without a commit marker or
+        failing CRC verification (torn blocks, lost data) is skipped in
+        favour of the previous complete one, so a clean restore reads the
+        index and the newest epoch only.  Raises
         :class:`~repro.errors.NotFoundError` when no epoch survives.
         """
         last_error: Optional[Exception] = None
-        for epoch in reversed(self.epochs()):
+        for epoch in reversed(self._indexed_epochs()):
             try:
                 return epoch, self.load(epoch)
             except (CorruptionError, NotFoundError) as exc:

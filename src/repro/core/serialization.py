@@ -9,6 +9,8 @@ raw little-endian payload bytes.
 
 from __future__ import annotations
 
+import math
+import re
 import struct
 from typing import Any, Union
 
@@ -24,6 +26,8 @@ _TAG_INT = 2
 _TAG_FLOAT = 3
 _TAG_ARRAY = 4
 _TAG_JSON = 5
+
+_DTYPE_STR = re.compile(rb"[<>|=][biufcSUVMm][0-9]+(\[[0-9A-Za-z]+\])?")
 
 
 def serialize_value(value: Any) -> bytes:
@@ -62,15 +66,23 @@ def serialize_value(value: Any) -> bytes:
 
 
 def deserialize_value(data: bytes) -> Union[bytes, str, int, float, np.ndarray]:
-    """Decode bytes produced by :func:`serialize_value`."""
-    if len(data) < 2 or data[0] != _MAGIC:
+    """Decode bytes produced by :func:`serialize_value`.
+
+    Raises :class:`~repro.errors.CorruptionError` for any input that
+    :func:`serialize_value` cannot have produced.
+    """
+    view = memoryview(data)
+    if len(view) < 2 or view[0] != _MAGIC:
         raise CorruptionError("bad serialized value header")
-    tag = data[1]
-    body = data[2:]
+    tag = view[1]
+    body = view[2:]
     if tag == _TAG_BYTES:
         return bytes(body)
     if tag == _TAG_STR:
-        return body.decode("utf-8")
+        try:
+            return str(body, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptionError("bad str payload") from exc
     if tag == _TAG_INT:
         if len(body) != 8:
             raise CorruptionError("bad int payload")
@@ -83,23 +95,39 @@ def deserialize_value(data: bytes) -> Union[bytes, str, int, float, np.ndarray]:
         import json
 
         try:
-            return json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            return json.loads(str(body, "utf-8"))
+        except (ValueError, RecursionError) as exc:
             raise CorruptionError("bad JSON payload") from exc
     if tag == _TAG_ARRAY:
-        if len(body) < 2:
-            raise CorruptionError("bad array header")
-        dtype_len, ndim = struct.unpack_from("<BB", body, 0)
-        pos = 2
-        dtype = np.dtype(body[pos : pos + dtype_len].decode("ascii"))
-        pos += dtype_len
-        shape = struct.unpack_from(f"<{ndim}q", body, pos)
-        pos += 8 * ndim
-        expected = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
-        payload = body[pos:]
-        if len(payload) != expected:
-            raise CorruptionError(
-                f"array payload size {len(payload)} != expected {expected}"
-            )
-        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        return _deserialize_array(body)
     raise CorruptionError(f"unknown value tag {tag}")
+
+
+def _deserialize_array(body: memoryview) -> np.ndarray:
+    """Decode an array body; the payload is copied once, into the result."""
+    if len(body) < 2:
+        raise CorruptionError("bad array header")
+    dtype_len, ndim = struct.unpack_from("<BB", body, 0)
+    pos = 2 + dtype_len + 8 * ndim
+    if len(body) < pos:
+        raise CorruptionError("truncated array header")
+    # Parse only the form ``dtype.str`` takes (byte order, kind, item size,
+    # datetime unit): numpy's parser raises SyntaxError on some other input.
+    spec = bytes(body[2 : 2 + dtype_len])
+    if not _DTYPE_STR.fullmatch(spec):
+        raise CorruptionError(f"bad array dtype {spec!r}")
+    try:
+        dtype = np.dtype(spec.decode("ascii"))
+    except (TypeError, ValueError) as exc:
+        raise CorruptionError(f"bad array dtype {spec!r}") from exc
+    shape = struct.unpack_from(f"<{ndim}q", body, 2 + dtype_len)
+    expected = math.prod(shape) * dtype.itemsize
+    payload = body[pos:]
+    if len(payload) != expected:
+        raise CorruptionError(
+            f"array payload size {len(payload)} != expected {expected}"
+        )
+    try:
+        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    except ValueError as exc:
+        raise CorruptionError(f"bad array payload: {exc}") from exc

@@ -34,13 +34,13 @@ class ChecksumType(enum.Enum):
     """Per-block / per-record checksum algorithm.
 
     ``CRC32C`` is the LevelDB/RocksDB format-faithful Castagnoli CRC
-    (the numpy lane-parallel kernel of :mod:`repro.util.crc`: ~145 MB/s
-    on 64 KiB blocks and ~190 MB/s on 4 MiB, against zlib's 3.5-4.5 GB/s
-    on the same 2-core Xeon VM).  ``ZLIB_CRC32`` uses the C-accelerated
-    CRC-32 from :mod:`zlib` and stays the default: at ~150 MB/s a
-    multi-hundred-MB checkpoint would spend seconds in CRC-32C alone
-    (RocksDB likewise supports multiple checksum flavours).  ``NONE``
-    disables checksumming, matching RocksDB's ``kNoChecksum``.
+    (the numpy slab kernel of :mod:`repro.util.crc`: ~300 MB/s on 64 KiB
+    blocks and ~280 MB/s on 4 MiB, against zlib's ~1.8 GB/s on the same
+    2-core Xeon VM).  ``ZLIB_CRC32`` uses the C-accelerated CRC-32 from
+    :mod:`zlib` and stays the default: at ~300 MB/s a multi-hundred-MB
+    checkpoint would spend a second or more in CRC-32C alone (RocksDB
+    likewise supports multiple checksum flavours).  ``NONE`` disables
+    checksumming, matching RocksDB's ``kNoChecksum``.
     """
 
     NONE = "none"

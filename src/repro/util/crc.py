@@ -4,42 +4,54 @@ LevelDB/RocksDB checksum every block and WAL record with CRC-32C and then
 *mask* the CRC (rotate + offset) so that storing a CRC inside CRC-checked
 data does not produce degenerate values.  We reproduce both.
 
-CRC is linear over GF(2): the register after hashing ``a + b`` is the
-register after ``a`` advanced through ``len(b)`` zero bytes, XOR the
-register of ``b`` hashed from zero.  :func:`crc32c` uses that twice, so
-its Python loop runs a fixed number of times per input rather than once
-per eight input bytes:
+CRC is linear over GF(2): the register after a byte string is the XOR of
+what each byte contributes on its own, and a byte's contribution depends
+only on its value and on how many bytes follow it.  :func:`crc32c` hashes
+inputs of :data:`_SMALL` bytes or more in one pass over fixed-size slabs
+of :data:`_SLAB` bytes.  Up to four slabs go through each round of numpy
+calls, so a call's temporaries stay bounded whatever the input size:
 
-* **lanes** — the body is cut into lanes of :data:`_LANE` bytes and every
-  lane is hashed from a zero register at once, slicing-by-8 over a
-  ``<u4`` view: each step is one numpy gather per ``_TABLE8`` row across
-  all lanes, and there are ``_LANE / 8`` steps.  The incoming register is
-  XORed into lane 0 only.
-* **fold** — neighbouring lane registers are combined pairwise in
-  ``log2(lanes)`` vectorized steps.  Step ``j`` advances each left
-  register through ``_LANE * 2**j`` zero bytes with a cached operator
-  (:func:`_zero_op`, four 256-entry byte tables derived by squaring)
-  and XORs in its right neighbour.
+* **lanes** — a slab is cut into lanes of :data:`_LANE` bytes.  Column
+  table ``c`` holds the register of byte ``b`` followed by
+  ``_LANE - 1 - c`` zero bytes, so one ``take`` of every byte from its
+  column's table and one XOR-reduce across each lane give every lane's
+  register at once.
+* **fold** — lane ``i`` of a slab is followed by ``_SLAB_LANES - 1 - i``
+  lanes; the zero-advance table maps each byte of its register through
+  that many zero lanes.  One more ``take`` of the lane registers' bytes
+  and an XOR-reduce give the slab's register.
+* **chain** — slabs end at the end of the lane body, so only the first
+  one may be short, and it reads the zero-advance rows of the last lanes.
+  Each later slab advances the running register through one slab of zero
+  bytes (a single cached operator) and XORs in its own register.  The
+  incoming register enters lane 0 as if XORed into its first four bytes.
 * **scalar** — inputs shorter than :data:`_SMALL` bytes, and the
   ``< _LANE``-byte tail after the lanes, run through a plain Python
   table loop, which beats the numpy set-up cost below that size.
+
+The tables (about 1.1 MiB of ``uint32``) are built on the first call
+that needs them, not at import, and are read-only afterwards.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
 
 import numpy as np
 
 _CASTAGNOLI_POLY = 0x82F63B78
 _MASK_DELTA = 0xA282EAD8
 
-#: bytes per lane: two slicing-by-8 steps, and the first fold operator is
-#: the square of the 8-zero-byte operator ``_TABLE8`` already holds
-_LANE = 16
-#: below this many bytes the Python loop is faster than the lane set-up
-#: (crossover measured at ~900 B on a 2-core x86-64 VM)
-_SMALL = 1024
+#: bytes per lane: one column table per byte position
+_LANE = 64
+#: lanes per slab; the zero-advance table holds 4 KiB per lane
+_SLAB_LANES = 256
+_SLAB = _LANE * _SLAB_LANES
+#: lanes per round of numpy calls, which bounds the temporaries
+_PASS_LANES = 4 * _SLAB_LANES
+#: below this many bytes the Python loop is faster than the numpy kernel
+#: (they cross at 130-180 B on a 2-core x86-64 VM, depending on the tail)
+_SMALL = 192
 
 
 def _build_table() -> np.ndarray:
@@ -51,17 +63,26 @@ def _build_table() -> np.ndarray:
 
 _TABLE = _build_table()
 _TABLE_INTS = _TABLE.tolist()
-# 8 sliced tables for the slicing-by-8 variant: _TABLE8[j][b] is the CRC of
-# byte b followed by j zero bytes.
-_TABLE8 = np.empty((8, 256), dtype=np.uint32)
-_TABLE8[0] = _TABLE
-for _j in range(1, 8):
-    _prev = _TABLE8[_j - 1]
-    _TABLE8[_j] = _TABLE[_prev & 0xFF] ^ (_prev >> np.uint32(8))
-_ZERO = np.zeros(1, dtype=np.uint32)
+#: offset of each column's table in the flattened column tables
+_COLUMN_BASE = np.arange(_LANE, dtype=np.uint16) * np.uint16(256)
+#: offset of each (lane, register byte) table in the flattened
+#: zero-advance tables
+_ADVANCE_BASE = np.tile(
+    np.arange(_SLAB_LANES, dtype=np.intp)[:, None] * 1024
+    + np.arange(4, dtype=np.intp) * 256,
+    (_PASS_LANES // _SLAB_LANES, 1),
+)
+
+_tables = None
+_tables_lock = threading.Lock()
 
 
-def _apply(op: np.ndarray, reg: np.ndarray) -> np.ndarray:
+def _zero_step(reg: np.ndarray) -> np.ndarray:
+    """Advance registers through one zero byte."""
+    return _TABLE[reg & 0xFF] ^ (reg >> np.uint32(8))
+
+
+def _apply(op: np.ndarray, reg):
     """Apply a linear operator, given as four byte tables, to registers."""
     return (
         op[0][reg & 0xFF]
@@ -71,48 +92,72 @@ def _apply(op: np.ndarray, reg: np.ndarray) -> np.ndarray:
     )
 
 
-@functools.cache
-def _zero_op(level: int) -> np.ndarray:
-    """Operator advancing a register through ``_LANE << level`` zero bytes.
+def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column tables, zero-advance tables and the slab operator."""
+    columns = np.empty((_LANE, 256), dtype=np.uint32)
+    columns[-1] = _TABLE
+    for col in range(_LANE - 2, -1, -1):
+        columns[col] = _zero_step(columns[col + 1])
+    # Row k maps byte b to register b << 8*k: the identity operator.
+    identity = np.arange(256, dtype=np.uint32) << (
+        np.arange(4, dtype=np.uint32)[:, None] * np.uint32(8)
+    )
+    lane_op = identity
+    for _ in range(_LANE):
+        lane_op = _zero_step(lane_op)
+    advance = np.empty((_SLAB_LANES, 4, 256), dtype=np.uint32)
+    advance[-1] = identity
+    for lane in range(_SLAB_LANES - 2, -1, -1):
+        advance[lane] = _apply(lane_op, advance[lane + 1])
+    slab_op = _apply(lane_op, advance[0])
+    tables = (columns.reshape(-1), advance.reshape(-1), slab_op)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    Row ``k`` maps byte ``b`` to the result for register ``b << 8*k``.
-    Each level squares the one below; the cache holds one 4 KiB table per
-    level, ``log2(len(data) / _LANE)`` of them at most.
-    """
-    half = _zero_op(level - 1) if level else _TABLE8[7:3:-1]
-    op = _apply(half, half)
-    op.flags.writeable = False
-    return op
+
+def _kernel_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's tables, built by the first caller that needs them."""
+    global _tables
+    if _tables is None:
+        with _tables_lock:
+            if _tables is None:
+                _tables = _build_tables()
+    return _tables
 
 
-def _lane_registers(words: np.ndarray, reg: int) -> np.ndarray:
-    """Register of every lane (rows of ``words``), lane 0 seeded by ``reg``."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _TABLE8
-    regs = np.zeros(len(words), dtype=np.uint32)
-    regs[0] = reg
-    for col in range(0, _LANE // 4, 2):
-        lo = words[:, col] ^ regs
-        hi = words[:, col + 1]
-        regs = (
-            t7[lo & 0xFF] ^ t6[(lo >> 8) & 0xFF]
-            ^ t5[(lo >> 16) & 0xFF] ^ t4[lo >> 24]
-            ^ t3[hi & 0xFF] ^ t2[(hi >> 8) & 0xFF]
-            ^ t1[(hi >> 16) & 0xFF] ^ t0[hi >> 24]
+def _lanes_register(body: np.ndarray, reg: int) -> int:
+    """Register after the lanes (rows of ``body``), starting from ``reg``."""
+    columns, advance, slab_op = _kernel_tables()
+    lanes = len(body)
+    # The incoming register XORed into lane 0's first four bytes.
+    seed = (
+        columns[reg & 0xFF]
+        ^ columns[256 + ((reg >> 8) & 0xFF)]
+        ^ columns[512 + ((reg >> 16) & 0xFF)]
+        ^ columns[768 + (reg >> 24)]
+    )
+    reg = 0
+    start = 0
+    stop = lanes % _SLAB_LANES or min(lanes, _PASS_LANES)
+    while start < lanes:
+        count = stop - start
+        # Adding in uint16 and then widening is faster than one uint8 +
+        # intp add.  Indices are in range by construction; "wrap" skips
+        # take's bounds-error path.
+        index = (body[start:stop] + _COLUMN_BASE).astype(np.intp)
+        regs = np.bitwise_xor.reduce(np.take(columns, index, mode="wrap"), axis=1)
+        if start == 0:
+            regs[0] ^= seed
+        reg_bytes = regs.astype("<u4", copy=False).view(np.uint8).reshape(count, 4)
+        terms = np.take(advance, reg_bytes + _ADVANCE_BASE[-count:], mode="wrap")
+        slabs = np.bitwise_xor.reduce(
+            terms.reshape(-1, 4 * min(count, _SLAB_LANES)), axis=1
         )
-    return regs
-
-
-def _fold(regs: np.ndarray) -> int:
-    """Combine consecutive lane registers into the register of the whole."""
-    level = 0
-    while len(regs) > 1:
-        if len(regs) & 1:
-            # A leading zero lane is a no-op: zero bytes from a zero
-            # register leave it zero, and lane 0 already carries the seed.
-            regs = np.concatenate((_ZERO, regs))
-        regs = _apply(_zero_op(level), regs[0::2]) ^ regs[1::2]
-        level += 1
-    return int(regs[0])
+        for slab in slabs:
+            reg = int(_apply(slab_op, reg) ^ slab)
+        start, stop = stop, min(stop + _PASS_LANES, lanes)
+    return reg
 
 
 def _update(reg: int, data) -> int:
@@ -129,10 +174,9 @@ def crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
     reg = ~crc & 0xFFFFFFFF
     if len(view) >= _SMALL:
         lanes = len(view) // _LANE
-        body = lanes * _LANE
-        words = np.frombuffer(view, dtype="<u4", count=body // 4)
-        reg = _fold(_lane_registers(words.reshape(lanes, _LANE // 4), reg))
-        view = view[body:]
+        body = np.frombuffer(view, dtype=np.uint8, count=lanes * _LANE)
+        reg = _lanes_register(body.reshape(lanes, _LANE), reg)
+        view = view[lanes * _LANE :]
     return ~_update(reg, view) & 0xFFFFFFFF
 
 

@@ -147,6 +147,35 @@ class TestCommitProtocol:
         assert len(counting.keys) == 2 + len(state_for(1))
         assert len(set(counting.keys)) == len(counting.keys)
 
+    def test_load_latest_reads_only_the_newest_epoch(self, manager):
+        counting = CountingGets(manager)
+        ckpt = Checkpointer(counting)
+        for epoch in range(16):
+            ckpt.save(epoch, state_for(epoch))
+        counting.keys.clear()
+        epoch, state = ckpt.load_latest()
+        assert epoch == 15 and state["step"] == 15
+        assert counting.keys[:3] == [
+            "ckpt/index", "ckpt/00000015/commit", "ckpt/00000015/manifest"
+        ]
+        assert sorted(counting.keys[3:]) == [
+            f"ckpt/00000015/data/{name}" for name in sorted(state_for(15))
+        ]
+
+    def test_indexed_epoch_without_commit_marker_is_skipped(self, manager):
+        """An index entry whose commit marker never landed is neither
+        listed nor loaded."""
+        from repro.core.serialization import serialize_value
+
+        ckpt = Checkpointer(manager)
+        ckpt.save(1, state_for(1))
+        manager.put("ckpt/00000002/manifest", serialize_value({}))
+        manager.append("ckpt/index", "2 ")
+        manager.write_barrier()
+        assert ckpt.epochs() == [1]
+        epoch, _ = ckpt.load_latest()
+        assert epoch == 1
+
     def test_all_epochs_corrupt_raises(self, manager):
         ckpt = Checkpointer(manager)
         ckpt.save(1, state_for(1))

@@ -1,11 +1,14 @@
 """Byte pins for every on-disk format that embeds a CRC-32C.
 
 Each format is written from fixed inputs and compared with bytes captured
-before the lane-parallel CRC kernel replaced the per-row loop: a checksum
-implementation swap must not change one byte of a WAL, an SSTable or a
-drain journal.  The inputs are sized so both kernel paths run: the WAL
-payload and the SSTable data block exceed ``repro.util.crc._SMALL``, the
-record headers, index blocks and journal frame stay below it.
+before a CRC kernel swap (the per-row loop, then the 16-byte-lane kernel):
+a checksum implementation swap must not change one byte of a WAL, an
+SSTable or a drain journal.  The inputs are sized so every kernel path
+runs: the small WAL payload and SSTable data blocks exceed
+``repro.util.crc._SMALL`` but not one slab (``_SLAB``), each 32 KiB
+fragment of the 200 KiB WAL record chains two slabs and the 200 KiB table
+block thirteen, and the record type bytes, short records and journal
+frame stay below ``_SMALL``.
 
 The last two tests take the real flush path on ``LocalFsEnv``, where a
 table's writes and write-back run on a writer thread behind the build: its
@@ -29,9 +32,11 @@ from repro.lsm.executors import SyncExecutor, ThreadExecutor
 from repro.lsm.options import ChecksumType, Options
 from repro.lsm.sstable import TableBuilder
 from repro.lsm.wal import LogWriter
-from repro.util.crc import _SMALL
+from repro.util.crc import _SLAB, _SMALL
 
 WAL_PAYLOAD = bytes(range(256)) * 5 + b"tail!"
+#: one record or block spanning many slabs and ending in a partial lane
+MULTI_SLAB_PAYLOAD = random.Random(200).randbytes(200 << 10)
 
 
 def read_all(env, path):
@@ -44,7 +49,7 @@ def test_wal_records_under_crc32c():
     writer.add_record(WAL_PAYLOAD)
     writer.add_record(b"short")
     writer.close()
-    assert len(WAL_PAYLOAD) > _SMALL
+    assert _SMALL < len(WAL_PAYLOAD) < _SLAB
     assert read_all(env, "wal") == (
         bytes.fromhex("ec3b93ef050501") + WAL_PAYLOAD
         + bytes.fromhex("2e263e1205000173686f7274")
@@ -64,6 +69,32 @@ def test_sstable_under_crc32c():
     assert len(table) == 1977
     assert hashlib.sha256(table).hexdigest() == (
         "a1bc57f0711de677000f2ae3f68a9492dd3bd9165800a52c599b392c13f7e45c"
+    )
+
+
+def test_multi_slab_wal_record_under_crc32c():
+    env = MemEnv()
+    writer = LogWriter(env.new_writable_file("wal"), checksum=ChecksumType.CRC32C)
+    writer.add_record(MULTI_SLAB_PAYLOAD)
+    writer.close()
+    wal = read_all(env, "wal")
+    assert len(wal) == 204849
+    assert hashlib.sha256(wal).hexdigest() == (
+        "93320202800628b89d0eab17528c1866273b8045c37b689ef216e4b33ccd2a3d"
+    )
+
+
+def test_multi_slab_sstable_block_under_crc32c():
+    env = MemEnv()
+    dest = env.new_writable_file("t.sst")
+    builder = TableBuilder(Options(checksum=ChecksumType.CRC32C), dest)
+    builder.add(encode_internal_key(b"big", 1, ValueType.VALUE), MULTI_SLAB_PAYLOAD)
+    builder.finish()
+    dest.close()
+    table = read_all(env, "t.sst")
+    assert len(table) == 205084
+    assert hashlib.sha256(table).hexdigest() == (
+        "c49e1e55335cc3189f92a93c0a1cfbe3edf3de20d7848eb4d4191618153cddac"
     )
 
 

@@ -1,13 +1,28 @@
 """Tests for the CRC-32C implementation: published test vectors, and a
-differential check of the lane-parallel kernel against the per-row
-slicing-by-8 loop it replaced, kept here verbatim as the reference."""
+differential check of the slab kernel against the per-row slicing-by-8
+loop the numpy kernels replaced, kept here verbatim as the reference."""
+
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.crc import _LANE, _SMALL, _zero_op, crc32c, crc32c_masked, crc32c_unmask
+from repro.util import crc as crc_module
+from repro.util.crc import (
+    _LANE,
+    _SLAB,
+    _SLAB_LANES,
+    _SMALL,
+    _kernel_tables,
+    crc32c,
+    crc32c_masked,
+    crc32c_unmask,
+)
 
 _CASTAGNOLI_POLY = 0x82F63B78
 
@@ -69,11 +84,28 @@ def _reference_crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int
 crc_seeds = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
+def _around(unit, most):
+    """Lengths within a lane of ``unit * k`` for ``k`` in ``1..most``."""
+    return st.builds(
+        lambda k, offset: max(0, unit * k + offset),
+        st.integers(min_value=1, max_value=most),
+        st.integers(min_value=-_LANE, max_value=_LANE),
+    )
+
+
+#: around every lane and slab multiple up to three slabs and a lane past
+_STRADDLING = st.one_of(_around(_LANE, 3 * _SLAB_LANES), _around(_SLAB, 3))
+
+
 @st.composite
-def payloads(draw, max_size=3 * _SMALL):
-    """Random bytes of a uniformly drawn length, so the scalar path, the
-    lane path and the boundary between them are all exercised."""
-    size = draw(st.integers(min_value=0, max_value=max_size))
+def payloads(draw):
+    """Random bytes of a length drawn uniformly up to a few lanes past
+    ``_SMALL`` (the scalar path, the kernel and the boundary between them)
+    or straddling a lane or slab multiple (a short first slab, the tail
+    loop, several chained slabs)."""
+    size = draw(
+        st.one_of(st.integers(min_value=0, max_value=_SMALL + 4 * _LANE), _STRADDLING)
+    )
     return np.random.default_rng(draw(st.integers(min_value=0))).bytes(size)
 
 
@@ -164,22 +196,82 @@ class TestAgainstReference:
         assert crc32c(floats.data) == _reference_crc32c(floats.tobytes())
 
 
+def _apply(op, regs):
+    return (
+        op[0][regs & 0xFF]
+        ^ op[1][(regs >> 8) & 0xFF]
+        ^ op[2][(regs >> 16) & 0xFF]
+        ^ op[3][regs >> 24]
+    )
+
+
 def test_zero_byte_operators_match_scalar_steps():
-    """Operator ``j`` advances a register through ``_LANE << j`` zero bytes:
-    check it on all 32 basis registers against one-byte steps."""
+    """Zero-advance row ``i`` advances a register through the
+    ``_SLAB_LANES - 1 - i`` lanes after lane ``i`` and the slab operator
+    through one slab of zero bytes: check every row on all 32 basis
+    registers against one-byte steps.  Column table ``c`` is the register
+    of a byte followed by ``_LANE - 1 - c`` zero bytes: check it on the
+    eight one-bit bytes."""
+    columns, advance, slab_op = _kernel_tables()
+    table = _TABLE.tolist()
+
+    bits = [1 << bit for bit in range(8)]
+    regs = [table[b] for b in bits]
+    for col in range(_LANE - 1, -1, -1):
+        assert columns[col * 256 + np.array(bits)].tolist() == regs, col
+        regs = [table[r & 0xFF] ^ (r >> 8) for r in regs]
+
     basis = np.array([1 << bit for bit in range(32)], dtype=np.uint32)
     regs = basis.tolist()
-    table = _TABLE.tolist()
-    steps = 0
-    for level in range(11):
-        while steps < _LANE << level:
+    rows = advance.reshape(_SLAB_LANES, 4, 256)
+    for lane in range(_SLAB_LANES - 1, -1, -1):
+        assert _apply(rows[lane], basis).tolist() == regs, lane
+        for _ in range(_LANE):
             regs = [table[r & 0xFF] ^ (r >> 8) for r in regs]
-            steps += 1
-        op = _zero_op(level)
-        got = (
-            op[0][basis & 0xFF]
-            ^ op[1][(basis >> 8) & 0xFF]
-            ^ op[2][(basis >> 16) & 0xFF]
-            ^ op[3][basis >> 24]
-        )
-        assert got.tolist() == regs, level
+    assert _apply(slab_op, basis).tolist() == regs
+
+
+def test_tables_are_built_on_first_use_not_at_import():
+    src = os.path.dirname(os.path.dirname(os.path.dirname(crc_module.__file__)))
+    probe = "import repro.util.crc as c; assert c._tables is None"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=60)
+
+
+def test_concurrent_first_calls_build_once(monkeypatch):
+    """Four threads make the process's first large call at once: the
+    tables are built once and every thread gets the reference values."""
+    builds = []
+    build = crc_module._build_tables
+
+    def counted_build():
+        builds.append(threading.get_ident())
+        return build()
+
+    monkeypatch.setattr(crc_module, "_tables", None)
+    monkeypatch.setattr(crc_module, "_build_tables", counted_build)
+    inputs = [
+        np.random.default_rng(worker).bytes(2 * _SLAB + 100 * worker + 7)
+        for worker in range(4)
+    ]
+    expected = [_reference_crc32c(data, 0x5EED) for data in inputs]
+    results = [None] * 4
+    start = threading.Barrier(4, timeout=10)
+
+    def worker(i):
+        start.wait()
+        results[i] = crc32c(inputs[i], 0x5EED)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    assert len(builds) == 1
