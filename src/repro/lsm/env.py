@@ -176,7 +176,8 @@ class _LocalWritableFile(WritableFile):
     the GIL is released for the whole batch.  :meth:`flush`, :meth:`sync`
     and :meth:`close` write the pending tail first, so the file holds
     exactly the appended bytes in order; only :meth:`sync` makes them
-    durable.
+    durable.  After :meth:`close` every write raises: the descriptor
+    number may already name another file.
     """
 
     def __init__(self, path: str):
@@ -191,7 +192,12 @@ class _LocalWritableFile(WritableFile):
     def append(self, data: bytes) -> None:
         self.append_owned(data if type(data) is bytes else bytes(data))
 
+    def _check_open(self) -> None:
+        if self._fh.closed:
+            raise StorageIOError(f"write to closed file {self._fh.name}")
+
     def append_owned(self, data) -> None:
+        self._check_open()
         pending = self._pending
         pending.append(data)
         self._pending_bytes += len(data)
@@ -220,10 +226,11 @@ class _LocalWritableFile(WritableFile):
             expected = sum(view.nbytes for view in views)
 
     def flush(self) -> None:
+        self._check_open()
         self._write_pending()
 
     def sync(self) -> None:
-        self._write_pending()
+        self.flush()
         os.fsync(self._fd)
 
     def close(self) -> None:

@@ -13,6 +13,7 @@ All methods must be called from within a simulated process.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Optional
 
 from repro.errors import NotFoundError, StorageIOError
@@ -23,7 +24,15 @@ from repro.util.humanize import parse_size
 
 
 class _SimWritableFile(WritableFile):
-    """Append-only stream with page-cache-style batching."""
+    """Append-only stream with page-cache-style batching.
+
+    Appends are kept by reference (``bytes``, and whatever is handed over
+    by :meth:`append_owned`) or copied once (a non-owned ``bytearray`` or
+    ``memoryview``: callers reuse their scratch buffers), as the local
+    Env's writable file keeps them.  Whenever ``buffer_size`` bytes are
+    pending, exactly that many leave in one ``client.write``, joined once;
+    :meth:`flush`, :meth:`sync` and :meth:`close` write the pending tail.
+    """
 
     def __init__(
         self,
@@ -34,28 +43,50 @@ class _SimWritableFile(WritableFile):
     ):
         self._client = client
         self._file = file
-        self._buffer = bytearray()
+        self._pending: deque = deque()
+        self._pending_bytes = 0
         self._buffer_size = buffer_size
         self._offset = 0
         self._closed = False
         self._charge_mds_on_close = charge_mds_on_close
 
-    def append(self, data: bytes) -> None:
+    def _check_open(self) -> None:
         if self._closed:
             raise StorageIOError(f"write to closed file {self._file.path}")
-        self._buffer += data
-        while len(self._buffer) >= self._buffer_size:
+
+    def append(self, data: bytes) -> None:
+        self.append_owned(data if type(data) is bytes else bytes(data))
+
+    def append_owned(self, data) -> None:
+        self._check_open()
+        if not data:
+            return
+        self._pending.append(data)
+        self._pending_bytes += len(data)
+        while self._pending_bytes >= self._buffer_size:
             self._emit(self._buffer_size)
 
     def _emit(self, nbytes: int) -> None:
-        chunk = bytes(self._buffer[:nbytes])
-        del self._buffer[:nbytes]
-        self._client.write(self._file, self._offset, chunk)
-        self._offset += len(chunk)
+        """Write the first ``nbytes`` pending bytes as one chunk."""
+        pending = self._pending
+        parts = []
+        need = nbytes
+        while need:
+            head = pending.popleft()
+            if len(head) > need:  # split: the tail stays pending, uncopied
+                head = memoryview(head)
+                pending.appendleft(head[need:])
+                head = head[:need]
+            parts.append(head)
+            need -= len(head)
+        self._pending_bytes -= nbytes
+        self._client.write(self._file, self._offset, b"".join(parts))
+        self._offset += nbytes
 
     def flush(self) -> None:
-        if self._buffer:
-            self._emit(len(self._buffer))
+        self._check_open()
+        if self._pending_bytes:
+            self._emit(self._pending_bytes)
 
     def sync(self) -> None:
         self.flush()

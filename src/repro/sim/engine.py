@@ -5,13 +5,15 @@ Two process backends share one heap:
 - :class:`Process` backs a simulated process with an OS thread so that
   *arbitrary library code* (RocksDB adapters, retry loops, anything that
   calls ``sim.sleep`` from deep inside a call stack) runs in simulated
-  time.  Handoff protocol: every process owns a ``threading.Event``
-  turnstile; the engine owns one too.  The engine pops the next
-  (time, seq, action) off the heap, performs the action — usually
-  "resume process P" — and parks on its own turnstile until that process
-  blocks again or finishes.  At most one thread is ever runnable, so
-  shared state needs no locking, but every resume costs two
-  ``threading.Event`` round-trips.
+  time.  Handoff protocol: a baton passed between two ``_thread`` locks
+  used as binary semaphores, one owned by each process and one (the
+  turnstile) by the engine; each starts held.  The engine pops the next
+  (time, seq, action) off the heap and performs the action — usually
+  "resume process P": release P's lock, then acquire its own turnstile,
+  which parks it until P blocks again (release the turnstile, acquire its
+  own lock) or finishes (release the turnstile).  At most one thread is
+  ever runnable, so shared state needs no locking, and a switch costs two
+  C-level lock operations on each side.
 - :class:`LightProcess` backs a process with a *generator* the engine
   drives inline: ``yield seconds`` sleeps, ``yield event`` waits, and the
   yield expression evaluates to the event's value (or raises its
@@ -37,6 +39,7 @@ import functools
 import heapq
 import itertools
 import threading
+from _thread import allocate_lock as _baton
 from time import perf_counter_ns as _wall_ns
 from typing import Any, Callable, Optional
 
@@ -127,7 +130,8 @@ class Process:
         self.done = Event(engine, name=f"{name}.done")
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._resume = threading.Event()
+        self._resume = _baton()  # held until the engine hands it over
+        self._resume.acquire()
         self._finished = False
         self._killed = False
         self._blocked = False
@@ -145,12 +149,12 @@ class Process:
         """Heap action: hand control to this process until it yields."""
         if self._finished:
             return
-        self.engine._running_process = self
+        engine = self.engine
+        engine._running_process = self
         self._blocked = False
-        self._resume.set()
-        self.engine._engine_turnstile.wait()
-        self.engine._engine_turnstile.clear()
-        self.engine._running_process = None
+        self._resume.release()
+        engine._engine_turnstile.acquire()
+        engine._running_process = None
         if self.error is not None and not self.daemon:
             # Surface crashes immediately instead of deadlocking later.
             raise self.error
@@ -158,8 +162,8 @@ class Process:
     # -- process side ----------------------------------------------------
 
     def _bootstrap(self, fn: Callable, args, kwargs) -> None:
-        self._park()  # wait for the engine's first resume
         try:
+            self._park()  # wait for the engine's first resume
             self.result = fn(*args, **kwargs)
         except ProcessKilled:
             pass
@@ -167,32 +171,39 @@ class Process:
             self.error = exc
         finally:
             self._finished = True
+            self.engine._processes.pop(self, None)
             if not self._killed:
                 if not self.done.triggered:
                     if self.error is not None:
                         self.done.fail(self.error)
                     else:
                         self.done.succeed(self.result)
-            self.engine._processes.pop(self, None)
-            self.engine._engine_turnstile.set()
+                # The engine is parked in _resume_action: hand the baton
+                # back.  A killed thread unwinds inside close(), which
+                # waits by join, not on the turnstile.
+                self.engine._engine_turnstile.release()
 
     def _park(self) -> None:
         """Block this process thread until the engine resumes it."""
-        self._resume.wait()
-        self._resume.clear()
+        self._resume.acquire()
         if self._killed:
             raise ProcessKilled()
 
     def _block_and_switch(self) -> None:
         """Yield control to the engine and park (process side)."""
+        if self._killed:
+            # Unwinding code (a ``finally`` that closes a file) tried to
+            # block again: the engine holds no baton to hand back.
+            raise ProcessKilled()
         self._blocked = True
-        self.engine._engine_turnstile.set()
+        self.engine._engine_turnstile.release()
         self._park()
 
     def _kill(self) -> None:
         """Unwind the backing thread during engine shutdown."""
         self._killed = True
-        self._resume.set()
+        if self._resume.locked():  # parked: hand it the baton to unwind
+            self._resume.release()
         self._thread.join(timeout=5)
 
     @property
@@ -416,7 +427,8 @@ class Engine:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._heap_pushes = 0
         self._seq = itertools.count()
-        self._engine_turnstile = threading.Event()
+        self._engine_turnstile = _baton()  # held; a process releases it
+        self._engine_turnstile.acquire()
         self._running_process = None  # Process | LightProcess
         #: live processes in spawn order (keys; values unused): a process
         #: leaves when it finishes, so a fleet-size run holds only what

@@ -4,12 +4,17 @@ import gc
 import os
 import random
 import sys
+import tempfile
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import NotFoundError
+from repro.errors import NotFoundError, StorageIOError
 from repro.lsm import DB, Options
+from repro.lsm import env as env_module
 from repro.lsm.env import LocalFsEnv, MemEnv
 
 
@@ -263,6 +268,90 @@ class TestLocalReaderLifetime:
             ), open_tables
         finally:
             db.close()
+
+
+class TestLocalWriterLifetime:
+    def test_writes_after_close_raise_instead_of_reaching_a_reused_fd(
+        self, tmp_path
+    ):
+        # Closing ``a`` frees its descriptor number and ``b`` typically
+        # reuses it: a write through ``a``'s stale number would land in
+        # ``b`` (``b"STALEBBB"``).
+        env = LocalFsEnv()
+        a = env.new_writable_file(str(tmp_path / "a"))
+        a.append(b"AAA")
+        a.close()
+        b = env.new_writable_file(str(tmp_path / "b"))
+        b.append(b"BBB")
+        for write in (
+            lambda: a.append(b"STALE"),
+            lambda: a.append_owned(bytearray(b"STALE")),
+            a.flush,
+            a.sync,
+        ):
+            with pytest.raises(StorageIOError, match="closed"):
+                write()
+        a.close()  # still idempotent
+        b.close()
+        assert (tmp_path / "a").read_bytes() == b"AAA"
+        assert (tmp_path / "b").read_bytes() == b"BBB"
+
+
+_appends = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["bytes", "bytearray", "memoryview", "owned"]),
+            st.binary(max_size=96),
+        ),
+        st.sampled_from([("flush",), ("sync",)]),
+    ),
+    max_size=24,
+)
+
+
+class TestLocalWriteBufferByteIdentity:
+    @settings(deadline=None)
+    @given(ops=_appends, coalesce=st.integers(1, 64),
+           dribble=st.none() | st.integers(1, 16))
+    def test_file_holds_the_appended_bytes_in_order(
+        self, ops, coalesce, dribble
+    ):
+        """Coalesced writes, resumed short writes and reused caller
+        scratch all leave exactly the appended bytes on disk."""
+        writev = os.writev
+
+        def short_writev(fd, bufs):
+            if dribble is None:
+                return writev(fd, bufs)
+            joined = b"".join(memoryview(buf).cast("B") for buf in bufs)
+            return os.write(fd, joined[:dribble])
+
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch.object(env_module, "_COALESCE_BYTES", coalesce), \
+                mock.patch.object(os, "writev", short_writev):
+            path = os.path.join(root, "f")
+            fh = LocalFsEnv().new_writable_file(path)
+            for op in ops:
+                if len(op) == 1:
+                    getattr(fh, op[0])()
+                    continue
+                kind, payload = op
+                if kind == "bytes":
+                    fh.append(payload)
+                elif kind == "owned":
+                    fh.append_owned(bytearray(payload))
+                else:
+                    scratch = bytearray(payload)
+                    fh.append(
+                        scratch if kind == "bytearray" else memoryview(scratch)
+                    )
+                    scratch[:] = bytes(b ^ 0xFF for b in scratch)
+            fh.close()
+            with open(path, "rb") as stored:
+                assert stored.read() == b"".join(
+                    op[1] for op in ops if len(op) == 2
+                )
+
 
 class TestMemEnvNesting:
     def test_nested_children(self):

@@ -1,9 +1,11 @@
 """Tests for SimLustreEnv: the real LSM engine on simulated Lustre."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import sim
-from repro.errors import NotFoundError
+from repro.errors import NotFoundError, StorageIOError
 from repro.lsm import DB, Options
 from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
 from repro.pfs.configs import small_test_cluster
@@ -148,3 +150,107 @@ class TestLsmOnSimulatedLustre:
         # The flush must reach the disks as few, large extents (the LSM
         # write path's whole point) — not per-entry small writes.
         assert bytes_written / requests >= 1 << 20
+
+
+class _ReferenceWriter:
+    """The write stream of a single growing ``bytearray`` buffer: every
+    append is copied in, and each ``buffer_size`` bytes (then the tail,
+    at flush/sync/close) leave as one ``bytes`` chunk."""
+
+    def __init__(self, buffer_size: int):
+        self.buffer_size = buffer_size
+        self.buffer = bytearray()
+        self.offset = 0
+        self.writes: list = []
+
+    def append(self, data) -> None:
+        self.buffer += data
+        while len(self.buffer) >= self.buffer_size:
+            self._emit(self.buffer_size)
+
+    def _emit(self, nbytes: int) -> None:
+        chunk = bytes(self.buffer[:nbytes])
+        del self.buffer[:nbytes]
+        self.writes.append((self.offset, chunk))
+        self.offset += len(chunk)
+
+    def flush(self) -> None:
+        if self.buffer:
+            self._emit(len(self.buffer))
+
+
+@st.composite
+def _write_scripts(draw):
+    buffer_size = draw(st.integers(1, 48))
+    append = st.tuples(
+        st.sampled_from(["bytes", "bytearray", "memoryview", "owned"]),
+        st.binary(max_size=3 * buffer_size),
+    )
+    op = st.one_of(append, st.sampled_from([("flush",), ("sync",)]))
+    return buffer_size, draw(st.lists(op, max_size=24))
+
+
+class TestWriteBufferByteIdentity:
+    @settings(deadline=None)
+    @given(script=_write_scripts())
+    def test_writes_match_a_copying_bytearray_buffer(self, script):
+        buffer_size, ops = script
+        reference = _ReferenceWriter(buffer_size)
+
+        def main(env):
+            writes = []
+            write = env.client.write
+
+            def recording(file, offset, data):
+                writes.append((file.path, offset, bytes(data)))
+                return write(file, offset, data)
+
+            env.client.write = recording
+            fh = env.new_writable_file("f")
+            for op in ops:
+                if op[0] in ("flush", "sync"):
+                    getattr(fh, op[0])()
+                    reference.flush()
+                    continue
+                kind, payload = op
+                reference.append(payload)
+                if kind == "bytes":
+                    fh.append(payload)
+                elif kind == "owned":
+                    fh.append_owned(bytearray(payload))
+                else:
+                    scratch = bytearray(payload)
+                    fh.append(
+                        scratch if kind == "bytearray" else memoryview(scratch)
+                    )
+                    # Callers reuse their scratch as soon as append returns.
+                    scratch[:] = bytes(b ^ 0xFF for b in scratch)
+            fh.close()
+            reference.flush()
+            size = env.file_size("f")
+            with env.new_random_access_file("f") as reader:
+                return writes, reader.read(0, size)
+
+        (writes, stored), _, _ = run_sim(main, write_buffer=buffer_size)
+        assert writes == [("f", off, chunk) for off, chunk in reference.writes]
+        assert stored == b"".join(op[1] for op in ops if len(op) == 2)
+
+    def test_writes_after_close_raise(self):
+        def main(env):
+            fh = env.new_writable_file("f")
+            fh.append(b"data")
+            fh.close()
+            closed_at = sim.now()
+            for write in (
+                lambda: fh.append(b"late"),
+                lambda: fh.append_owned(bytearray(b"late")),
+                fh.flush,
+                fh.sync,
+            ):
+                with pytest.raises(StorageIOError, match="closed"):
+                    write()
+            fh.close()  # still idempotent
+            return closed_at, sim.now()
+
+        (closed_at, end), _, _ = run_sim(main)
+        assert end == closed_at  # no simulated RPC left after close
