@@ -215,12 +215,15 @@ class LsmioManager:
 
     def get(self, key: bytes | str) -> bytes:
         """Get the value for the key.  Always synchronous (Table 2)."""
-        key = _as_key(key)
+        if type(key) is not bytes:
+            key = _as_key(key)
         start = ambient_clock()
         with _trace.probe("core", "get") as span:
-            self._check_open()
+            if self._closed:
+                raise ClosedError("manager is closed")
             if self.is_aggregator:
-                self._flush_pending()
+                if self._pending is not None:
+                    self._flush_pending()
                 value = self.store.get(key)
             else:
                 self.comm.channel_send(
@@ -233,8 +236,9 @@ class LsmioManager:
                 if status == "err":
                     raise payload
                 value = payload
-            span.set(nbytes=len(value))
-        self.counters.record("get", len(value), ambient_clock() - start)
+            nbytes = len(value)
+            span.set(nbytes=nbytes)
+        self.counters.record("get", nbytes, ambient_clock() - start)
         return value
 
     def write_barrier(self, sync: bool = True) -> None:

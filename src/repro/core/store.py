@@ -93,8 +93,10 @@ class LsmioStore:
     def get(self, key: bytes) -> bytes:
         """Point lookup.  Always executed synchronously (Table 1)."""
         with self._lock:
-            self._check_open()
-            self._flush_batch_for_read()
+            if self._closed:
+                raise ClosedError("store is closed")
+            if self._batch is not None:
+                self._flush_batch_for_read()
             return self.db.get(key)
 
     def put(self, key: bytes, value: bytes, sync: Optional[bool] = None) -> None:

@@ -21,11 +21,13 @@ from typing import Iterator, Optional
 
 from repro.errors import CorruptionError
 from repro.util.varint import (
-    decode_fixed32,
-    decode_varint32,
+    MAX_VARINT32_BYTES,
+    decode_varint64,
     encode_fixed32,
     encode_varint32,
 )
+
+_FIXED32 = struct.Struct("<I")
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
@@ -177,17 +179,23 @@ class Block:
     """Read-side view of a serialized block with binary-searchable seeks.
 
     The restart array is parsed and validated once, at construction.
+    ``data`` may be ``bytes`` or a read-only ``memoryview`` (a table
+    read's payload, kept without a copy); anything else, such as a
+    builder's writable view, is copied.
     """
 
     def __init__(self, data: bytes, key=None):
-        if not isinstance(data, bytes):
-            data = bytes(data)  # accept builder views; reads need bytes
-        if len(data) < 4:
+        if type(data) is not bytes and not (
+            type(data) is memoryview and data.readonly
+        ):
+            data = bytes(data)
+        size = len(data)
+        if size < 4:
             raise CorruptionError("block too small")
         self._data = data
         self._key = key or _bytewise
-        num_restarts = decode_fixed32(data, len(data) - 4)
-        restarts_off = len(data) - 4 - 4 * num_restarts
+        (num_restarts,) = _FIXED32.unpack_from(data, size - 4)
+        restarts_off = size - 4 - 4 * num_restarts
         if restarts_off < 0:
             raise CorruptionError("bad restart array")
         restarts = struct.unpack_from(f"<{num_restarts}I", data, restarts_off)
@@ -198,26 +206,60 @@ class Block:
         ):
             raise CorruptionError("restart point outside the entry region")
         self._restarts = restarts
+        self._num_restarts = num_restarts
         self._limit = restarts_off
 
     def _decode_entry(self, offset: int, prev_key: bytes) -> tuple[bytes, bytes, int]:
-        """Return (key, value, next_offset) for the entry at ``offset``."""
-        shared, pos = decode_varint32(self._data, offset)
-        unshared, pos = decode_varint32(self._data, pos)
-        value_len, pos = decode_varint32(self._data, pos)
-        if shared > len(prev_key):
+        """Return (key, value, next_offset) for the entry at ``offset``.
+
+        The three lengths are almost always one-byte varints (a large
+        value's length is the exception), so those are read in place.
+        """
+        data = self._data
+        # offset < limit <= len(data) - 4: all three bytes exist.
+        shared = data[offset]
+        unshared = data[offset + 1]
+        value_len = data[offset + 2]
+        if (shared | unshared) < 0x80:
+            if value_len < 0x80:
+                pos = offset + 3
+            else:
+                value_len, pos = decode_varint64(
+                    data, offset + 2, MAX_VARINT32_BYTES
+                )
+        else:
+            shared, pos = decode_varint64(data, offset, MAX_VARINT32_BYTES)
+            unshared, pos = decode_varint64(data, pos, MAX_VARINT32_BYTES)
+            value_len, pos = decode_varint64(data, pos, MAX_VARINT32_BYTES)
+        if shared and shared > len(prev_key):
             raise CorruptionError("corrupted shared prefix length")
         key_end = pos + unshared
         value_end = key_end + value_len
         if value_end > self._limit:
             raise CorruptionError("block entry overruns restart array")
-        key = prev_key[:shared] + self._data[pos:key_end]
-        value = self._data[key_end:value_end]
+        key = prev_key[:shared] + data[pos:key_end]
+        value = bytes(data[key_end:value_end])
         return key, value, value_end
 
     def _restart_key(self, index: int) -> bytes:
         key, _, _ = self._decode_entry(self._restarts[index], b"")
         return key
+
+    def _restart_before(self, target) -> int:
+        """Offset of the last restart whose key orders before ``target``.
+
+        ``target`` is already mapped by the block's ``key``.
+        """
+        order = self._key
+        restarts = self._restarts
+        lo, hi = 0, self._num_restarts - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if order(self._restart_key(mid)) < target:
+                lo = mid
+            else:
+                hi = mid - 1
+        return restarts[lo]
 
     def iterate(self, start: int = 0) -> Iterator[tuple[bytes, bytes]]:
         """Yield (key, value) from restart-region offset ``start``."""
@@ -231,6 +273,18 @@ class Block:
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         return self.iterate(0)
 
+    def entries(self) -> list[tuple[bytes, bytes]]:
+        """Every (key, value) in one pass, for a block that is read whole."""
+        out = []
+        offset = 0
+        key = b""
+        limit = self._limit
+        decode = self._decode_entry
+        while offset < limit:
+            key, value, offset = decode(offset, key)
+            out.append((key, value))
+        return out
+
     def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Yield entries with key >= ``target``.
 
@@ -241,20 +295,46 @@ class Block:
             return
         order = self._key
         target = order(target)
-        lo, hi = 0, len(self._restarts) - 1
-        # Find the last restart whose key < target.
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if order(self._restart_key(mid)) < target:
-                lo = mid
-            else:
-                hi = mid - 1
-        entries = self.iterate(self._restarts[lo])
+        entries = self.iterate(self._restart_before(target))
         for key, value in entries:
             if order(key) >= target:
                 yield key, value
                 break
         yield from entries  # sorted: everything after the first match
+
+    def versions(
+        self, bound: tuple[bytes, int]
+    ) -> tuple[list[tuple[bytes, bytes]], bool]:
+        """One user key's entries in a block of internal keys.
+
+        ``bound`` is a sort key (:func:`~repro.lsm.dbformat.seek_order`)
+        and the block's ``key`` is :func:`~repro.lsm.dbformat.sort_key`.
+        Returns the entries of user key ``bound[0]`` that order at or
+        after ``bound``, newest first, and whether the scan reached the
+        block's end still inside that key, so its chain may go on in the
+        next block.  The point-read form of :meth:`seek`.
+        """
+        found: list[tuple[bytes, bytes]] = []
+        limit = self._limit
+        if limit == 0:
+            return found, True
+        user_key, newest = bound
+        decode = self._decode_entry
+        # A block holding entries starts a restart at offset 0.
+        offset = self._restart_before(bound) if self._num_restarts > 1 else 0
+        key = b""
+        while offset < limit:
+            key, value, offset = decode(offset, key)
+            if len(key) < 8:
+                raise CorruptionError(f"internal key too short: {len(key)} bytes")
+            entry_user_key = key[:-8]
+            if entry_user_key == user_key:
+                # Trailers sort descending: a newer one orders before bound.
+                if -int.from_bytes(key[-8:], "little") >= newest:
+                    found.append((key, value))
+            elif entry_user_key > user_key:
+                return found, False
+        return found, True
 
     def first_key(self) -> Optional[bytes]:
         if self._limit == 0:
@@ -263,4 +343,4 @@ class Block:
 
     @property
     def num_restarts(self) -> int:
-        return len(self._restarts)
+        return self._num_restarts

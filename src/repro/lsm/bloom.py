@@ -32,6 +32,7 @@ class BloomFilter:
 
     def __init__(self, bits: bytearray, num_probes: int):
         self._bits = bits
+        self._nbits = len(bits) * 8
         self._num_probes = num_probes
 
     @classmethod
@@ -53,7 +54,7 @@ class BloomFilter:
 
     def may_contain(self, key: bytes) -> bool:
         """False ⇒ definitely absent; True ⇒ probably present."""
-        nbits = len(self._bits) * 8
+        nbits = self._nbits
         if nbits == 0:
             return True
         h = _fnv1a(key)
@@ -81,4 +82,4 @@ class BloomFilter:
 
     def __len__(self) -> int:
         """Size of the bit array in bits."""
-        return len(self._bits) * 8
+        return self._nbits

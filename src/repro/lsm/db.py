@@ -17,7 +17,6 @@ or tombstone resolves the chain.
 from __future__ import annotations
 
 import re
-from itertools import takewhile
 from typing import Iterator, Optional
 
 from repro.errors import (
@@ -44,8 +43,8 @@ from repro.lsm.compaction import (
 from repro.lsm.dbformat import (
     MAX_SEQUENCE,
     ValueType,
-    internal_key_user_key,
     seek_key,
+    seek_order,
 )
 from repro.io import Priority, io_priority
 from repro.lsm.env import Env, LocalFsEnv
@@ -136,6 +135,7 @@ class DBStats:
 
 
 _DEFAULT_WRITE_OPTIONS = WriteOptions()
+_DEFAULT_READ_OPTIONS = ReadOptions()
 
 
 class DB:
@@ -938,19 +938,20 @@ class DB:
         self, key: bytes, read_options: Optional[ReadOptions] = None
     ) -> bytes:
         """Return the value for ``key``; raises :class:`NotFoundError`."""
-        read_options = read_options or ReadOptions()
-        max_seq = (
-            read_options.snapshot.sequence
-            if read_options.snapshot is not None
-            else MAX_SEQUENCE
-        )
+        if read_options is None:
+            read_options = _DEFAULT_READ_OPTIONS
+        snapshot = read_options.snapshot
+        max_seq = MAX_SEQUENCE if snapshot is None else snapshot.sequence
         with self._lock:
-            self._check_open()
+            if self._closed:
+                raise ClosedError("database is closed")
             self.stats.gets += 1
-            memtables = [self._mem] + list(reversed(self._imm))
+            memtables = [self._mem, *reversed(self._imm)]
             version = self._versions.current
-        versions = self._versions_of(key, memtables, version, read_options, max_seq)
-        resolved = resolve_versions(versions, max_seq)
+        resolved = resolve_versions(
+            self._versions_of(key, memtables, version, read_options, max_seq),
+            max_seq,
+        )
         if resolved is None or resolved[0] is ValueType.DELETE:
             raise NotFoundError(f"key not found: {key!r}")
         return resolved[1]
@@ -969,17 +970,13 @@ class DB:
         table whose bloom filter rules ``key`` out is never searched, and
         no later source is touched once the resolver has its answer.
         """
-
-        def same_key(entry: tuple[bytes, bytes]) -> bool:
-            return internal_key_user_key(entry[0]) == key
-
-        target = seek_key(key, max_seq)
+        bound = seek_order(key, max_seq)
         for mem in memtables:
-            yield from takewhile(same_key, mem.seek(target))
+            yield from mem.versions(key, bound)
         for _, meta in version.files_for_get(key):
             table = self._table(meta.number)
             if table.may_contain(key):
-                yield from takewhile(same_key, table.seek(target, read_options))
+                yield from table.versions(bound, read_options)
 
     def __contains__(self, key: bytes) -> bool:
         try:

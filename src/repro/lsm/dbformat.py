@@ -91,9 +91,17 @@ def sort_key(ikey: bytes) -> tuple[bytes, int]:
     """
     if len(ikey) < 8:
         raise CorruptionError(f"internal key too short: {len(ikey)} bytes")
-    return (bytes(ikey[:-8]), -decode_fixed64(ikey, len(ikey) - 8))
+    return (bytes(ikey[:-8]), -int.from_bytes(ikey[-8:], "little"))
 
 
 def seek_key(user_key: bytes, sequence: int = MAX_SEQUENCE) -> bytes:
     """Internal key positioned at-or-before all entries ≤ ``sequence``."""
     return encode_internal_key(user_key, sequence, VALUE_TYPE_FOR_SEEK)
+
+
+def seek_order(user_key: bytes, sequence: int = MAX_SEQUENCE) -> tuple[bytes, int]:
+    """``sort_key(seek_key(user_key, sequence))``, without building the key.
+
+    The bound a point lookup bisects memtables, index and blocks by.
+    """
+    return (user_key, -((sequence << 8) | VALUE_TYPE_FOR_SEEK))

@@ -16,6 +16,7 @@ import heapq
 from itertools import groupby
 from typing import Iterable, Iterator, Optional
 
+from repro.errors import CorruptionError
 from repro.lsm.dbformat import (
     MAX_SEQUENCE,
     ValueType,
@@ -23,6 +24,10 @@ from repro.lsm.dbformat import (
     internal_key_user_key,
     sort_key,
 )
+
+_DELETE = int(ValueType.DELETE)
+_VALUE = int(ValueType.VALUE)
+_MERGE = int(ValueType.MERGE)
 
 
 class MergingIterator:
@@ -72,22 +77,31 @@ def resolve_versions(
     - ``(MERGE, operands)`` when only operands are visible: the base, if
       any, is older than every version given;
     - ``None`` when no version is visible.
+
+    Each trailer is read in place (the fixed64 of
+    :mod:`repro.lsm.dbformat`), with the checks of
+    :func:`~repro.lsm.dbformat.decode_internal_key`: this runs once per
+    version on every point read.
     """
     operands: list[bytes] = []  # newest first
     for ikey, value in versions:
-        parsed = decode_internal_key(ikey)
-        if parsed.sequence > max_sequence:
+        if len(ikey) < 8:
+            raise CorruptionError(f"internal key too short: {len(ikey)} bytes")
+        trailer = int.from_bytes(ikey[-8:], "little")
+        if trailer >> 8 > max_sequence:
             continue
-        value_type = parsed.value_type
-        if value_type is ValueType.MERGE:
+        value_type = trailer & 0xFF
+        if value_type == _MERGE:
             operands.append(value)
             continue
-        if value_type is ValueType.VALUE:
+        if value_type == _VALUE:
             if not operands:
-                return value_type, value
+                return ValueType.VALUE, value
             operands.append(value)
+        elif value_type != _DELETE:
+            raise CorruptionError(f"bad value type {value_type}")
         elif not operands:
-            return value_type, b""
+            return ValueType.DELETE, b""
         return ValueType.VALUE, b"".join(reversed(operands))
     if operands:
         return ValueType.MERGE, b"".join(reversed(operands))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -172,6 +173,7 @@ class Version:
 
     def __init__(self, num_levels: int):
         self.files: list[list[FileMetaData]] = [[] for _ in range(num_levels)]
+        self._lookup_order: Optional[tuple[list, list]] = None
 
     @property
     def num_levels(self) -> int:
@@ -197,22 +199,41 @@ class Version:
         return [f for f in self.files[level] if f.overlaps_user_range(lo, hi)]
 
     def files_for_get(self, user_key: bytes) -> list[tuple[int, FileMetaData]]:
-        """Candidate files for a point lookup, in newest-to-oldest order."""
-        out: list[tuple[int, FileMetaData]] = []
+        """Candidate files for a point lookup, in newest-to-oldest order.
+
+        Every L0 file whose range holds ``user_key``, newest first, then at
+        most one file per deeper level, found by bisection.  The order is
+        built at the first lookup and kept: a version is not changed once
+        it is installed.
+        """
+        order = self._lookup_order
+        if order is None:
+            order = self._lookup_order = self._build_lookup_order()
+        level0, levels = order
+        out = []
+        for smallest, largest, entry in level0:
+            if smallest <= user_key <= largest:
+                out.append(entry)
+        for level, largest_keys, files in levels:
+            i = bisect_left(largest_keys, user_key)
+            if i < len(files) and files[i].smallest_user_key <= user_key:
+                out.append((level, files[i]))
+        return out
+
+    def _build_lookup_order(self) -> tuple[list, list]:
         # L0: newest first (descending file number — higher = newer).
         level0 = [
-            f
-            for f in self.files[0]
-            if f.smallest_user_key <= user_key <= f.largest_user_key
+            (meta.smallest_user_key, meta.largest_user_key, (0, meta))
+            for meta in sorted(self.files[0], key=lambda f: f.number, reverse=True)
         ]
-        level0.sort(key=lambda f: f.number, reverse=True)
-        out.extend((0, f) for f in level0)
-        for level in range(1, self.num_levels):
-            for meta in self.files[level]:
-                if meta.smallest_user_key <= user_key <= meta.largest_user_key:
-                    out.append((level, meta))
-                    break  # disjoint ranges: at most one file per level
-        return out
+        # Deeper levels hold disjoint ranges sorted by smallest key, so
+        # their largest keys are sorted too.
+        levels = [
+            (level, [meta.largest_user_key for meta in files], files)
+            for level, files in enumerate(self.files)
+            if level and files
+        ]
+        return level0, levels
 
 
 class VersionSet:

@@ -78,6 +78,30 @@ class MemTable:
                 yield row[2], row[3]
                 bound = row
 
+    def versions(
+        self, user_key: bytes, bound: tuple[bytes, int]
+    ) -> list[tuple[bytes, bytes]]:
+        """``user_key``'s (internal key, value) pairs at or after ``bound``.
+
+        ``bound`` is a sort key (:func:`~repro.lsm.dbformat.seek_order`);
+        the pairs come newest first.  The point-read form of :meth:`seek`,
+        with its rule for walking the live memtable: each step bisects
+        again past the last row taken.
+        """
+        rows = self._rows
+        found = []
+        while rows:
+            i = bisect_right(rows, bound)
+            if i >= len(rows):
+                break
+            row = rows[i]
+            if row > bound:  # else an insert landed before i: look again
+                if row[0] != user_key:
+                    break
+                found.append((row[2], row[3]))
+                bound = row
+        return found
+
     def smallest_key(self) -> Optional[bytes]:
         return self._rows[0][2] if self._rows else None
 

@@ -57,7 +57,7 @@ class ChecksumType(enum.Enum):
         if self is ChecksumType.CRC32C:
             return crc32c
         if self is ChecksumType.ZLIB_CRC32:
-            return lambda data, crc=0: zlib.crc32(data, crc) & 0xFFFFFFFF
+            return zlib.crc32  # unsigned 32-bit in Python 3: no wrapper
         return lambda data, crc=0: 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import zlib
 from bisect import bisect_left
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from repro.errors import CorruptionError
@@ -54,7 +55,9 @@ FILTER_KEY = b"filter.bloom"
 PROPERTIES_KEY = b"properties"
 
 
-_NONE_TYPE_BYTE = bytes([int(CompressionType.NONE)])
+_NONE_TYPE = int(CompressionType.NONE)
+_ZLIB_TYPE = int(CompressionType.ZLIB)
+_NONE_TYPE_BYTE = bytes([_NONE_TYPE])
 
 
 class BlockHandle(NamedTuple):
@@ -70,7 +73,7 @@ class BlockHandle(NamedTuple):
     def decode(cls, buf: bytes, pos: int = 0) -> tuple["BlockHandle", int]:
         offset, pos = decode_varint64(buf, pos)
         size, pos = decode_varint64(buf, pos)
-        return cls(offset, size), pos
+        return tuple.__new__(cls, (offset, size)), pos
 
 
 class TableBuilder:
@@ -268,6 +271,7 @@ class Table:
         self._file_number = file_number
         self._cache = block_cache if options.enable_block_cache else None
         self._crc2 = options.checksum.incremental()
+        self._checksum_enabled = options.checksum is not ChecksumType.NONE
 
         size = file.size()
         if size < FOOTER_SIZE:
@@ -277,67 +281,67 @@ class Table:
             raise CorruptionError("bad SSTable magic")
         metaindex_handle, pos = BlockHandle.decode(footer, 0)
         index_handle, _ = BlockHandle.decode(footer, pos)
-        # The index never changes after open: decode it once into parallel
-        # lists a lookup can bisect by sort key.
-        self._index_keys: list[tuple[bytes, int]] = []
-        self._index_handles: list[BlockHandle] = []
-        index = Block(self._read_block_payload(index_handle))
-        for ikey, handle_bytes in index:
-            self._index_keys.append(sort_key(ikey))
-            self._index_handles.append(BlockHandle.decode(handle_bytes, 0)[0])
-        metaindex = Block(self._read_block_payload(metaindex_handle))
+        # The index never changes after open: decode it once, in one pass,
+        # into parallel lists a lookup can bisect by sort key.
+        index = Block(self._read_block_payload(index_handle)).entries()
+        self._index_keys: list[tuple[bytes, int]] = [
+            sort_key(ikey) for ikey, _ in index
+        ]
+        decode_handle = BlockHandle.decode
+        self._index_handles: list[BlockHandle] = [
+            decode_handle(handle_bytes)[0] for _, handle_bytes in index
+        ]
         self._bloom: Optional[BloomFilter] = None
         self._properties: dict = {}
-        for key, value in metaindex:
+        for key, value in Block(self._read_block_payload(metaindex_handle)):
             handle, _ = BlockHandle.decode(value, 0)
             if key == FILTER_KEY:
                 self._bloom = BloomFilter.decode(self._read_block_payload(handle))
             elif key == PROPERTIES_KEY:
-                self._properties = json.loads(self._read_block_payload(handle))
+                try:
+                    properties = json.loads(bytes(self._read_block_payload(handle)))
+                except ValueError as exc:  # bad JSON or bad UTF-8
+                    raise CorruptionError("bad properties block") from exc
+                if not isinstance(properties, dict):
+                    raise CorruptionError("bad properties block")
+                self._properties = properties
 
-    def _read_block_payload(
-        self, handle: BlockHandle, verify: bool = True
-    ) -> bytes:
-        size = handle.size
-        raw = self._file.read(handle.offset, size + BLOCK_TRAILER_SIZE)
+    def _read_block_payload(self, handle: BlockHandle, verify: bool = True):
+        """The block's payload: a read-only view of the read, or inflated.
+
+        The checksum covers (payload ‖ type byte), the read's first
+        ``size + 1`` bytes, so one call checks it.
+        """
+        offset, size = handle
+        raw = self._file.read(offset, size + BLOCK_TRAILER_SIZE)
         if len(raw) != size + BLOCK_TRAILER_SIZE:
             raise CorruptionError("truncated block read")
-        if verify and self._options.checksum is not ChecksumType.NONE:
-            # Checksum (payload ‖ type byte) in two seeded steps over views
-            # of the read buffer: no concatenated copy.
-            view = memoryview(raw)
-            crc = self._crc2(view[size : size + 1], self._crc2(view[:size]))
-            actual = mask_crc(crc)
-            expected = int.from_bytes(raw[size + 1 : size + 5], "little")
-            if expected != actual:
-                raise CorruptionError(
-                    f"block checksum mismatch at offset {handle.offset}"
-                )
-        payload = raw[:size]
+        view = memoryview(raw)
+        if verify and self._checksum_enabled:
+            actual = mask_crc(self._crc2(view[: size + 1]))
+            if int.from_bytes(view[size + 1 :], "little") != actual:
+                raise CorruptionError(f"block checksum mismatch at offset {offset}")
         type_byte = raw[size]
+        if type_byte == _NONE_TYPE:
+            return view[:size]
+        if type_byte != _ZLIB_TYPE:
+            raise CorruptionError(f"bad compression byte {type_byte}")
         try:
-            ctype = CompressionType(type_byte)
-        except ValueError as exc:
-            raise CorruptionError(f"bad compression byte {type_byte}") from exc
-        if ctype is CompressionType.ZLIB:
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error as exc:
-                raise CorruptionError("block decompression failed") from exc
-        return payload
+            return zlib.decompress(view[:size])
+        except zlib.error as exc:
+            raise CorruptionError("block decompression failed") from exc
 
     def _data_block(self, handle: BlockHandle, read_options: ReadOptions) -> Block:
-        cache_key = (self._file_number, handle.offset)
-        if self._cache is not None:
-            cached = self._cache.get(cache_key)
+        cache = self._cache
+        if cache is not None:
+            cache_key = (self._file_number, handle.offset)
+            cached = cache.get(cache_key)
             if cached is not None:
                 return cached
-        payload = self._read_block_payload(
-            handle, verify=read_options.verify_checksums
-        )
+        payload = self._read_block_payload(handle, read_options.verify_checksums)
         block = Block(payload, key=sort_key)
-        if self._cache is not None and read_options.fill_cache:
-            self._cache.insert(cache_key, block, len(payload))
+        if cache is not None and read_options.fill_cache:
+            cache.insert(cache_key, block, len(payload))
         return block
 
     def may_contain(self, user_key: bytes) -> bool:
@@ -360,6 +364,24 @@ class Table:
         yield from self._data_block(handles[first], read_options).seek(target_ikey)
         for i in range(first + 1, len(handles)):
             yield from self._data_block(handles[i], read_options)
+
+    def versions(
+        self, bound: tuple[bytes, int], read_options: ReadOptions
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """The point-lookup walk: user key ``bound[0]``'s entries, newest first.
+
+        ``bound`` is a sort key (:func:`~repro.lsm.dbformat.seek_order`);
+        entries that order before it are skipped.  The index bisects to
+        the one block that can start the answer.  A block is read only
+        when the caller asks for an entry past the previous block's, so a
+        chain that ends inside a block reads no further.
+        """
+        first = bisect_left(self._index_keys, bound)
+        for handle in islice(self._index_handles, first, None):
+            found, more = self._data_block(handle, read_options).versions(bound)
+            yield from found
+            if not more:
+                return
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         read_options = ReadOptions()

@@ -255,8 +255,8 @@ class LightProcess:
         if self._finished:
             return
         engine = self.engine
-        token_engine = getattr(_TLS, "engine", None)
-        token_proc = getattr(_TLS, "process", None)
+        token_engine = _TLS.engine
+        token_proc = _TLS.process
         prev_running = engine._running_process
         _TLS.engine = engine
         _TLS.process = self
@@ -523,8 +523,8 @@ class Engine:
         engine = self
 
         def wrapped(*args: Any, **kwargs: Any) -> Any:
-            token_engine = getattr(_TLS, "engine", None)
-            token_proc = getattr(_TLS, "process", None)
+            token_engine = _TLS.engine
+            token_proc = _TLS.process
             _TLS.engine = engine
             _TLS.process = engine._running_process
             proc = _TLS.process
@@ -634,7 +634,14 @@ class Engine:
         self.close()
 
 
-_TLS = threading.local()
+class _SimLocal(threading.local):
+    """The calling thread's engine and process; unset reads as None."""
+
+    engine = None
+    process = None
+
+
+_TLS = _SimLocal()
 # Let the tracer read the simulated clock without importing repro.sim
 # (the dependency is inverted to keep repro.trace import-cycle free).
 _trace._SIM_TLS = _TLS
@@ -642,7 +649,7 @@ _trace._SIM_TLS = _TLS
 
 def current_engine() -> Engine:
     """The engine driving the calling simulated process."""
-    engine = getattr(_TLS, "engine", None)
+    engine = _TLS.engine
     if engine is None:
         raise SimulationError("not inside a simulated process")
     return engine
@@ -650,7 +657,7 @@ def current_engine() -> Engine:
 
 def current_process() -> Process:
     """The simulated process executing the caller."""
-    proc = getattr(_TLS, "process", None)
+    proc = _TLS.process
     if proc is None:
         raise SimulationError("not inside a simulated process")
     return proc

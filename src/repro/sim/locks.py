@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+
 from repro.errors import SimulationError
+from repro.sim.engine import _TLS, Event, wait
 
 
 def _current_sim_process():
-    from repro.sim.engine import _TLS
-
-    return getattr(_TLS, "process", None)
+    return _TLS.process
 
 
 class AdaptiveRLock:
@@ -29,7 +29,9 @@ class AdaptiveRLock:
 
     A single instance must not be shared between a sim world and real
     threads concurrently — the storage engine lives entirely in one or
-    the other for its lifetime, which is the supported usage.
+    the other for its lifetime, which is the supported usage.  As with
+    ``threading.RLock``, ``with lock:`` is ``acquire`` then ``release``:
+    one call each way, since every point read crosses two of these.
     """
 
     def __init__(self) -> None:
@@ -39,10 +41,9 @@ class AdaptiveRLock:
         self._sim_waiters: deque = deque()
 
     def acquire(self) -> bool:
-        proc = _current_sim_process()
+        proc = _TLS.process
         if proc is None:
-            self._real.acquire()
-            return True
+            return self._real.acquire()
         if self._sim_owner is proc:
             self._sim_count += 1
             return True
@@ -50,18 +51,16 @@ class AdaptiveRLock:
             self._sim_owner = proc
             self._sim_count = 1
             return True
-        from repro import sim
-
-        gate = sim.Event(proc.engine, name="adaptive-rlock")
+        gate = Event(proc.engine, name="adaptive-rlock")
         self._sim_waiters.append((proc, gate))
-        sim.wait(gate)
+        wait(gate)
         # The releaser handed ownership to us before triggering the gate.
         if self._sim_owner is not proc:
             raise SimulationError("lock handoff failed")
         return True
 
-    def release(self) -> None:
-        proc = _current_sim_process()
+    def release(self, *_exc_info) -> None:
+        proc = _TLS.process
         if proc is None:
             self._real.release()
             return
@@ -78,9 +77,5 @@ class AdaptiveRLock:
         else:
             self._sim_owner = None
 
-    def __enter__(self) -> "AdaptiveRLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
+    __enter__ = acquire
+    __exit__ = release  # ignores the exception triple

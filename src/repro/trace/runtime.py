@@ -44,7 +44,8 @@ SAMPLER = None
 #: ``run()``), so the disabled path adds zero per-event work
 PROFILER = None
 
-#: thread-local of the discrete-event engine (set by repro.sim.engine)
+#: thread-local of the discrete-event engine (set by repro.sim.engine);
+#: its ``engine`` and ``process`` read None outside a simulation
 _SIM_TLS = None
 
 
@@ -55,7 +56,7 @@ def ambient_clock() -> float:
     interval is measured on.
     """
     tls = _SIM_TLS
-    engine = getattr(tls, "engine", None) if tls is not None else None
+    engine = tls.engine if tls is not None else None
     if engine is None:
         return time.monotonic()
     return engine._now
@@ -64,7 +65,7 @@ def ambient_clock() -> float:
 def current_track() -> str:
     """Name of the executing context: sim process name or thread name."""
     tls = _SIM_TLS
-    proc = getattr(tls, "process", None) if tls is not None else None
+    proc = tls.process if tls is not None else None
     if proc is not None:
         return proc.name
     return threading.current_thread().name

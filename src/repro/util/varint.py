@@ -75,17 +75,20 @@ def decode_varint64(
     """Decode a varint64; return ``(value, next_offset)``.
 
     Raises :class:`CorruptionError` on truncated or over-long input, which is
-    what callers reading untrusted on-disk bytes need.
+    what callers reading untrusted on-disk bytes need.  A one-byte varint
+    (the common case for lengths in blocks and records) returns at once.
     """
-    result = 0
-    shift = 0
-    pos = offset
-    end = min(len(buf), offset + max_bytes)
-    while pos < end:
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
+    try:
+        byte = buf[offset]
+        if byte < 0x80:
+            return byte, offset + 1
+        result = byte & 0x7F
+        for shift in range(7, 7 * max_bytes, 7):
+            offset += 1
+            byte = buf[offset]
+            result |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return result, offset + 1
+    except IndexError:
+        pass
     raise CorruptionError("truncated or over-long varint")

@@ -1,16 +1,31 @@
 """End-to-end tests for the DB facade: write/read paths, flush, recovery."""
 
+import os
+import sys
+
 import pytest
 
+import repro
 from repro import sim
+from repro.core import LsmioManager, LsmioOptions
 from repro.errors import (
     ClosedError,
+    CorruptionError,
     InvalidArgumentError,
     NotFoundError,
     StorageIOError,
 )
 from repro.fault import FaultSchedule, FaultyEnv
-from repro.lsm import DB, MemEnv, Options, ReadOptions, WriteBatch, WriteOptions
+from repro.lsm import (
+    DB,
+    LocalFsEnv,
+    MemEnv,
+    Options,
+    ReadOptions,
+    WriteBatch,
+    WriteOptions,
+)
+from repro.lsm.cache import LRUCache
 from repro.lsm.executors import ThreadExecutor
 from repro.lsm.sstable import Table
 from repro.sim.executor import SimExecutor
@@ -201,19 +216,19 @@ class TestPointReadPath:
         db.flush()
         db.append(b"k", b"-b")
         events = []
-        may_contain, seek = Table.may_contain, Table.seek
+        may_contain, versions = Table.may_contain, Table.versions
 
         def probe(table, key):
             found = may_contain(table, key)
             events.append(("bloom", table._file_number, found))
             return found
 
-        def record_seek(table, target, read_options=None):
+        def record_lookup(table, bound, read_options):
             events.append(("seek", table._file_number))
-            return seek(table, target, read_options)
+            return versions(table, bound, read_options)
 
         monkeypatch.setattr(Table, "may_contain", probe)
-        monkeypatch.setattr(Table, "seek", record_seek)
+        monkeypatch.setattr(Table, "versions", record_lookup)
         oldest, base, spans, appended = sorted(
             meta.number for meta in db._versions.current.files[0]
         )
@@ -230,6 +245,282 @@ class TestPointReadPath:
         assert db.get(b"k") == b"fresh"
         assert events == []  # answered by the memtable alone
         db.close()
+
+    def test_malformed_properties_block_raises_corruption(self):
+        # Checksums off, so the bytes reach the parser: a table whose
+        # properties block is not JSON must fail as corruption.
+        env = MemEnv()
+        options = Options(checksum="none", enable_compaction=False)
+        db = DB.open("db", options, env=env)
+        db.put(b"k", b"v")
+        db.flush()
+        db.close()
+        (name,) = [n for n in env.get_children("db") if n.endswith(".sst")]
+        data = env._files[f"db/{name}"].data  # noqa: SLF001
+        data[data.index(b'{"block_size"')] = 0xFF
+        db = DB.open("db", options, env=env)
+        try:
+            with pytest.raises(CorruptionError):
+                db.get(b"k")
+        finally:
+            db.close()
+
+
+class _TracingEnv(MemEnv):
+    """MemEnv whose random-access files log (file number, offset, nbytes)."""
+
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def new_random_access_file(self, path):
+        number = int(path.rsplit("/", 1)[-1].split(".")[0])
+        return _TracedFile(
+            super().new_random_access_file(path), number, self.events
+        )
+
+
+class _TracedFile:
+    def __init__(self, base, number, events):
+        self._base, self._number, self._events = base, number, events
+
+    def read(self, offset, nbytes):
+        self._events.append(("read", self._number, offset, nbytes))
+        return self._base.read(offset, nbytes)
+
+    def size(self):
+        return self._base.size()
+
+    def close(self):
+        self._base.close()
+
+
+def _build_read_trace_db(env):
+    """Five tables over 64-byte blocks, reopened cold.
+
+    File 5 is L1 (every k-key and m's base); 8 and 10 are overlapping L0
+    files, 10 holding a delete of k04 and a six-operand append chain of m
+    that spans three data blocks; 12 spans [a, z] and its bloom filter
+    rules out nearly every k-key; 15 is flushed after a snapshot.
+    """
+    small = dict(write_buffer_size="1M", block_size=64, block_restart_interval=2)
+    db = DB.open(
+        "db", Options(level0_file_num_compaction_trigger=1, **small), env=env
+    )
+    for i in range(12):
+        db.put(f"k{i:02d}".encode(), f"L1-{i}-".encode() * 3)
+    db.put(b"m", b"base")
+    db.flush()  # chains a compaction of the one L0 file into L1
+    db.close()
+    options = Options(enable_compaction=False, **small)
+    db = DB.open("db", options, env=env)
+    for i in (3, 5, 7):
+        db.put(f"k{i:02d}".encode(), f"L0a-{i}".encode())
+    db.append(b"m", b"+a1")
+    db.append(b"m", b"+a2")
+    db.flush()
+    for i in range(2, 10, 3):
+        db.put(f"k{i:02d}".encode(), f"L0b-{i}".encode() * 2)
+    db.delete(b"k04")
+    for j in range(6):
+        db.append(b"m", f"+chain-{j}-".encode() * 2)
+    db.flush()
+    db.put(b"a", b"first")
+    db.put(b"z", b"last")
+    db.flush()
+    db.close()
+    db = DB.open("db", options, env=env)
+    snap = db.snapshot()
+    db.append(b"m", b"+late")
+    db.flush()
+    return db, snap
+
+
+_M_CHAIN = b"base+a1+a2" + b"".join(
+    f"+chain-{j}-".encode() * 2 for j in range(6)
+)
+
+#: every Env read and cache lookup of the gets below, as the read path
+#: made them when this pin was taken; the simulated read schedules and the
+#: ledger's exact read counters depend on this order
+PINNED_READ_TRACE = [
+    ('get', b'k05'),
+    ('cache', 12),
+    ('read', 12, 263, 28),
+    ('read', 12, 236, 27),
+    ('read', 12, 187, 49),
+    ('read', 12, 46, 14),
+    ('read', 12, 60, 127),
+    ('cache', 10),
+    ('read', 10, 599, 28),
+    ('read', 10, 514, 85),
+    ('read', 10, 463, 51),
+    ('read', 10, 320, 14),
+    ('read', 10, 334, 129),
+    ('cache', (10, 0)),
+    ('read', 10, 0, 77),
+    ('get', b'm'),
+    ('cache', 15),
+    ('read', 15, 247, 28),
+    ('read', 15, 220, 27),
+    ('read', 15, 171, 49),
+    ('read', 15, 30, 14),
+    ('read', 15, 44, 127),
+    ('cache', (15, 0)),
+    ('read', 15, 0, 30),
+    ('cache', 12),
+    ('cache', 10),
+    ('cache', (10, 77)),
+    ('read', 10, 77, 101),
+    ('cache', (10, 178)),
+    ('read', 10, 178, 71),
+    ('cache', (10, 249)),
+    ('read', 10, 249, 71),
+    ('cache', 8),
+    ('read', 8, 350, 28),
+    ('read', 8, 303, 47),
+    ('read', 8, 254, 49),
+    ('read', 8, 113, 14),
+    ('read', 8, 127, 127),
+    ('cache', (8, 72)),
+    ('read', 8, 72, 41),
+    ('cache', 5),
+    ('read', 5, 805, 28),
+    ('read', 5, 653, 152),
+    ('read', 5, 602, 51),
+    ('read', 5, 449, 23),
+    ('read', 5, 472, 130),
+    ('cache', (5, 420)),
+    ('read', 5, 420, 29),
+    ('get', b'k99'),
+    ('cache', 12),
+    ('cache', 10),
+    ('cache', 8),
+    ('cache', 5),
+    ('get', b'k045'),
+    ('cache', 12),
+    ('cache', 10),
+    ('cache', 8),
+    ('cache', 5),
+    ('get', b'k04'),
+    ('cache', 12),
+    ('cache', 10),
+    ('cache', (10, 0)),
+    ('get', b'k00'),
+    ('cache', 12),
+    ('cache', 5),
+    ('cache', (5, 0)),
+    ('read', 5, 0, 69),
+    ('get', b'm'),
+    ('cache', 15),
+    ('cache', 12),
+    ('cache', 10),
+    ('cache', (10, 77)),
+    ('cache', (10, 178)),
+    ('cache', (10, 249)),
+    ('cache', 8),
+    ('cache', (8, 72)),
+    ('cache', 5),
+    ('cache', (5, 420)),
+    ('get', b'k05'),
+    ('cache', 12),
+    ('cache', 10),
+    ('cache', (10, 0)),
+    ('get', b'a'),
+    ('cache', 12),
+    ('cache', (12, 0)),
+    ('read', 12, 0, 46),
+    ('get', b'k10'),
+    ('cache', 12),
+    ('cache', 10),
+    ('cache', 8),
+    ('cache', 5),
+    ('cache', (5, 345)),
+    ('read', 5, 345, 75),
+]
+
+
+class TestPointReadTrace:
+    def test_gets_read_and_probe_caches_in_the_pinned_order(self, monkeypatch):
+        events = []
+        db, snap = _build_read_trace_db(_TracingEnv(events))
+        gets = [
+            (b"k05", None, b"L0b-5" * 2),
+            (b"m", None, _M_CHAIN + b"+late"),
+            (b"k99", None, None),  # inside two ranges, ruled out by blooms
+            (b"k045", None, None),
+            (b"k04", None, None),  # deleted in an L0 file
+            (b"k00", None, b"L1-0-" * 3),
+            (b"m", snap, _M_CHAIN),
+            (b"k05", None, b"L0b-5" * 2),
+            (b"a", None, b"first"),
+            (b"k10", None, b"L1-10-" * 3),
+        ]
+        cache_get = LRUCache.get
+
+        def logged_get(cache, key):
+            events.append(("cache", key))
+            return cache_get(cache, key)
+
+        monkeypatch.setattr(LRUCache, "get", logged_get)
+        events.clear()
+        try:
+            for key, at, want in gets:
+                events.append(("get", key))
+                try:
+                    got = db.get(key, ReadOptions(snapshot=at))
+                except NotFoundError:
+                    got = None
+                assert got == want, key
+            assert events == PINNED_READ_TRACE
+        finally:
+            snap.release()
+            db.close()
+
+
+class TestPointGetCallBudget:
+    """Per-get cost of the whole read stack, counted instead of timed."""
+
+    #: Python calls into ``repro`` per ``LsmioManager.get`` with the tables
+    #: open: 35 on CPython 3.11 (80 before the direct point-lookup walk),
+    #: plus a tenth for interpreter differences.
+    MAX_CALLS_PER_GET = 38
+    VALUE = 64 << 10
+
+    def test_manager_get_stays_within_its_call_budget(self, tmp_path):
+        src = os.path.dirname(repro.__file__) + os.sep
+        keys = [f"ckpt/var{i:08d}".encode() for i in range(48)]
+        options = LsmioOptions(write_buffer_size="1M")
+        path = str(tmp_path / "ckpt")
+        manager = LsmioManager(path, options, env=LocalFsEnv())
+        for i, key in enumerate(keys):
+            manager.put(key, bytes([i]) * self.VALUE)
+        manager.write_barrier(sync=True)
+        manager.close()
+
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(src):
+                calls += 1
+
+        manager = LsmioManager(path, options, env=LocalFsEnv())
+        try:
+            for key in keys:
+                manager.get(key)  # opens every table
+            values = []
+            previous = sys.getprofile()
+            sys.setprofile(count)
+            try:
+                for key in keys:
+                    values.append(manager.get(key))
+            finally:
+                sys.setprofile(previous)
+        finally:
+            manager.close()
+        assert values == [bytes([i]) * self.VALUE for i in range(len(keys))]
+        assert calls / len(keys) <= self.MAX_CALLS_PER_GET, calls / len(keys)
 
 
 class TestCompaction:

@@ -2,7 +2,9 @@
 
 The hypothesis stateful machine drives put/append/delete/flush/compact/
 reopen and snapshot/release against an in-memory model and checks every
-lookup and scan, at the head and at each live snapshot.
+lookup and scan, at the head and at each live snapshot.  A second machine
+runs the same rules over 16-128-byte blocks, where one key's chain of
+versions spans data blocks and tables.
 """
 
 from hypothesis import settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -19,7 +22,8 @@ from repro.errors import NotFoundError
 from repro.lsm import DB, MemEnv, Options, ReadOptions
 from repro.lsm.db import Snapshot
 
-KEYS = st.sampled_from([f"key{i}".encode() for i in range(12)])
+KEY_NAMES = [f"key{i}".encode() for i in range(12)]
+KEYS = st.sampled_from(KEY_NAMES)
 VALUES = st.binary(max_size=48)
 
 
@@ -94,6 +98,9 @@ class DBModelMachine(RuleBasedStateMachine):
 
     @rule(key=keys)
     def check_get(self, key):
+        self.assert_get(key)
+
+    def assert_get(self, key):
         for read_options, expected in self.views():
             if key in expected:
                 assert self.db.get(key, read_options) == expected[key]
@@ -114,14 +121,56 @@ class DBModelMachine(RuleBasedStateMachine):
         self.db.close()
 
 
-TestDBModel = DBModelMachine.TestCase
-# A quarter of the loaded profile's examples: 25 by default, ten times
-# that under ``--hypothesis-profile=ci`` (tests/conftest.py).
-TestDBModel.settings = settings(
+class SmallBlockDBModelMachine(DBModelMachine):
+    """The same rules over blocks small enough that chains cross them.
+
+    At 16-128 bytes a block holds a few entries at most, so a key's
+    put/append/delete chain, read newest first, runs across data blocks
+    (and, after flushes, across tables); a restart interval of 1 or 2
+    also puts restart points inside the chain.  Every key is looked up
+    after every step, so a chain is read while it still spans blocks,
+    before a compaction folds it.
+    """
+
+    @initialize(
+        block_size=st.sampled_from([16, 64, 128]),
+        restart_interval=st.sampled_from([1, 2, 16]),
+    )
+    def small_blocks(self, block_size, restart_interval):
+        self.db.close()
+        self.env = MemEnv()
+        self.options = Options(
+            write_buffer_size="2K",
+            level0_file_num_compaction_trigger=3,
+            block_size=block_size,
+            block_restart_interval=restart_interval,
+        )
+        self.db = DB.open("db", self.options, env=self.env)
+
+    @rule(key=DBModelMachine.keys, values=st.lists(VALUES, min_size=2, max_size=6))
+    def append_run(self, key, values):
+        """Several operands in a row, flushed: one table holds the chain."""
+        for value in values:
+            self.append(key, value)
+        self.db.flush()
+
+    @invariant()
+    def gets_match_model(self):
+        for key in KEY_NAMES:
+            self.assert_get(key)
+
+
+# A quarter of the loaded profile's examples each: 25 by default, ten
+# times that under ``--hypothesis-profile=ci`` (tests/conftest.py).
+_MODEL_SETTINGS = settings(
     max_examples=settings.default.max_examples // 4,
     stateful_step_count=30,
     deadline=None,
 )
+TestDBModel = DBModelMachine.TestCase
+TestDBModel.settings = _MODEL_SETTINGS
+TestSmallBlockDBModel = SmallBlockDBModelMachine.TestCase
+TestSmallBlockDBModel.settings = _MODEL_SETTINGS
 
 
 def test_model_quick_deterministic():

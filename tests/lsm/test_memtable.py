@@ -18,6 +18,7 @@ from repro.lsm.dbformat import (
     decode_internal_key,
     internal_key_user_key,
     seek_key,
+    seek_order,
     sort_key,
 )
 from repro.lsm.memtable import MemTable
@@ -161,6 +162,21 @@ class TestInsertOrders:
         ]
         assert versions(mem.seek(seek_key(probe_key, probe_seq))) == expected
 
+    @given(
+        updates=UPDATES,
+        probe_key=st.binary(max_size=6),
+        probe_seq=st.integers(min_value=0, max_value=50),
+    )
+    def test_point_versions_match_model(self, order, updates, probe_key, probe_seq):
+        mem = build(order(list(updates)))
+        expected = [
+            (u, s)
+            for u, s in model_order(updates)
+            if u == probe_key and s <= probe_seq
+        ]
+        bound = seek_order(probe_key, probe_seq)
+        assert versions(mem.versions(probe_key, bound)) == expected
+
     def test_seek_returns_suffix(self, order):
         mem = build(order([(b"a", 1), (b"c", 2), (b"e", 3)]))
         assert versions(mem.seek(seek_key(b"b"))) == [(b"c", 2), (b"e", 3)]
@@ -256,3 +272,49 @@ def test_concurrent_walks_stay_ordered_while_a_writer_inserts():
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
     assert len(mem) == 2000
+
+
+def test_concurrent_point_reads_take_each_version_once():
+    # New versions of the key land ahead of a point read's position and
+    # other keys land before it, shifting the rows under the walk: every
+    # read must still list each version once, newest first, and at least
+    # the versions that existed when it started.
+    mem = MemTable()
+    mem.add(1, ValueType.VALUE, b"hot", b"")
+    written = [1]  # versions of b"hot" inserted so far
+    failures = []
+    stop = threading.Event()
+
+    def writer():
+        for seq in range(2, 1500):
+            mem.add(seq, ValueType.VALUE, b"hot", b"")
+            mem.add(seq, ValueType.VALUE, b"a%05d" % seq, b"")
+            written[0] = seq
+        stop.set()
+
+    def reader():
+        bound = seek_order(b"hot")
+        while not stop.is_set():
+            known = written[0]
+            seqs = [
+                decode_internal_key(ikey).sequence
+                for ikey, _ in mem.versions(b"hot", bound)
+            ]
+            if seqs != sorted(set(seqs), reverse=True) or len(seqs) < known:
+                failures.append(seqs)
+                return
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    assert len(mem.versions(b"hot", seek_order(b"hot"))) == 1499
