@@ -63,6 +63,11 @@ class _H5State:
     eof: int = METADATA_REGION
 
 
+def _states(client: LustreClient) -> dict:
+    """The run's HDF5 on-disk structures, by file id."""
+    return client.cluster.app_state.setdefault("hdf5", {})
+
+
 class Hdf5File:
     """One HDF5 file on the simulated PFS (create/open + chunk I/O)."""
 
@@ -98,7 +103,7 @@ class Hdf5File:
         """H5Fcreate: MDS create + superblock write at offset 0."""
         file = client.create(path, stripe_count, stripe_size)
         state = _H5State(datasets={})
-        file._h5_state = state  # the on-disk structure  # noqa: SLF001
+        _states(client)[file.file_id] = state  # the on-disk structure
         self = cls(client, file, writable=True, state=state)
         with io_priority(Priority.METADATA):
             client.write(file, 0, SUPERBLOCK_SIZE)
@@ -108,7 +113,7 @@ class Hdf5File:
     def open(cls, client: LustreClient, path: str, writable: bool = False) -> "Hdf5File":
         """H5Fopen: MDS open + superblock read."""
         file = client.open(path)
-        state = getattr(file, "_h5_state", None)
+        state = _states(client).get(file.file_id)
         if state is None:
             raise NotFoundError(f"{path} is not an HDF5 file in this run")
         with io_priority(Priority.METADATA):

@@ -40,6 +40,9 @@ from repro.pfs.lustre import LustreCluster, LustreFile
 from repro.pfs.mdcache import MetadataCache
 from repro.trace import runtime as _trace
 
+#: What a write segment carries when it is not a data-less length.
+_PAYLOADS = (bytes, bytearray, memoryview, list)
+
 #: Failures the retry loop backs off from (anything else propagates).
 _RETRYABLE = (OstUnavailableError, MdsUnavailableError, RpcTimeoutError)
 
@@ -378,9 +381,11 @@ class LustreClient:
         ranges: list[tuple[int, int]] = []
         total = 0
         for offset, data in segments:
-            if isinstance(data, (bytes, bytearray, memoryview)):
-                length = len(data)
-                file.store(offset, bytes(data))
+            if isinstance(data, _PAYLOADS):
+                if type(data) is not list:  # a caller's buffer: snapshot it
+                    data = [bytes(data)]
+                length = sum(map(len, data))
+                file.store(offset, data)
             else:
                 length = int(data)
                 if length < 0:
@@ -398,8 +403,15 @@ class LustreClient:
         )
         self.stats.bytes_written += total
 
-    def write_lw(self, file: LustreFile, offset: int, data: "bytes | int"):
+    def write_lw(
+        self, file: LustreFile, offset: int, data: "bytes | list | int"
+    ):
         """Write ``data`` (bytes, or a length for data-less mode).
+
+        ``data`` may also be a list of buffers that follow each other
+        from ``offset``: one range, as if joined, whose buffers the file
+        keeps by reference, so the caller must not change them afterwards.
+        A single ``bytearray`` or ``memoryview`` is copied.
 
         Returns when the bytes have left this node's NIC; the OSS/OST
         stages complete in the background (write-behind).  Call

@@ -2,14 +2,15 @@
 
 :class:`LustreCluster` owns the simulated hardware (OSTs, OSSs, MDS) and a
 flat namespace of :class:`LustreFile` objects.  Logical file *contents*
-are stored eagerly (a bytearray per file) so the storage engine running on
-top gets its bytes back verbatim; *timing* is charged separately by the
-client/servers in simulated time.
+are kept eagerly (the written buffers themselves, by reference) so the
+storage engine running on top gets its bytes back verbatim; *timing* is
+charged separately by the client/servers in simulated time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -151,7 +152,18 @@ def _zeros(nbytes: int) -> bytes:
 
 
 class LustreFile:
-    """One striped file: layout + logical contents."""
+    """One striped file: layout + logical contents.
+
+    Contents are an ordered chunk list: ``_starts[i]`` is the file offset
+    of buffer ``_chunks[i]``, the chunks tile ``[0, stored end)`` with no
+    gap, and every buffer is the writer's own, held by reference (a hole
+    is a shared :func:`_zeros` buffer).  A data-less file has neither list.
+    """
+
+    __slots__ = (
+        "file_id", "path", "layout", "size", "_starts", "_chunks",
+        "__weakref__",
+    )
 
     _MAX_OSTS_PER_FILE = 4096  # object-id namespace slot per file
 
@@ -166,38 +178,95 @@ class LustreFile:
         self.path = path
         self.layout = layout
         self.size = 0
-        self._data: Optional[bytearray] = bytearray() if store_data else None
+        self._starts: Optional[list[int]] = [] if store_data else None
+        self._chunks: Optional[list] = [] if store_data else None
 
     def object_id(self, ost_index: int) -> int:
         """Globally-unique id of this file's object on ``ost_index``."""
         return self.file_id * self._MAX_OSTS_PER_FILE + ost_index
 
-    def store(self, offset: int, data: bytes) -> None:
-        """Record logical contents (no simulated cost — timing is separate)."""
-        end = offset + len(data)
-        stored = self._data
-        if stored is not None:
-            gap = offset - len(stored)
-            if gap >= 0:  # at or past EOF: the common sequential append
-                if gap:
-                    stored.extend(bytes(gap))
-                stored.extend(data)
-            else:  # overwrite; a slice assignment grows past EOF itself
-                stored[offset:end] = data
-        self.size = max(self.size, end)
+    def store(self, offset: int, parts: list) -> None:
+        """Record logical contents (no simulated cost — timing is separate).
+
+        ``parts`` are buffers that follow each other from ``offset``.  They
+        are kept by reference, not copied: the caller hands them over and
+        must not change them afterwards.
+        """
+        end = offset + sum(map(len, parts))
+        chunks = self._chunks
+        if chunks is not None and end > offset:
+            starts = self._starts
+            stored = starts[-1] + len(chunks[-1]) if chunks else 0
+            if offset >= stored:  # at or past EOF: the common append
+                if offset > stored:
+                    starts.append(stored)
+                    chunks.append(_zeros(offset - stored))
+                for part in parts:
+                    if part:
+                        starts.append(offset)
+                        chunks.append(part)
+                        offset += len(part)
+            else:
+                self._overwrite(offset, end, parts)
+        if end > self.size:
+            self.size = end
+
+    def _overwrite(self, offset: int, end: int, parts) -> None:
+        """Splice ``parts`` over ``[offset, end)``, splitting the chunks
+        it covers at its edges with ``memoryview`` slices."""
+        starts = self._starts
+        chunks = self._chunks
+        first = bisect_right(starts, offset) - 1
+        last = bisect_right(starts, end - 1) - 1
+        new_starts = []
+        new_chunks = []
+        head = offset - starts[first]
+        if head:
+            new_starts.append(starts[first])
+            new_chunks.append(memoryview(chunks[first])[:head])
+        position = offset
+        for part in parts:
+            if part:
+                new_starts.append(position)
+                new_chunks.append(part)
+                position += len(part)
+        tail = end - starts[last]
+        if tail < len(chunks[last]):
+            new_starts.append(end)
+            new_chunks.append(memoryview(chunks[last])[tail:])
+        starts[first:last + 1] = new_starts
+        chunks[first:last + 1] = new_chunks
 
     def load(self, offset: int, nbytes: int) -> bytes:
         """Read logical contents (zero-filled holes, short at EOF)."""
         end = min(offset + nbytes, self.size)
         if end <= offset:
             return b""
-        if self._data is None:
+        chunks = self._chunks
+        if not chunks:
             return _zeros(end - offset)
-        with memoryview(self._data) as view:
-            chunk = bytes(view[offset:end])
-        if len(chunk) < end - offset:  # hole past stored bytes
-            chunk += bytes(end - offset - len(chunk))
-        return chunk
+        starts = self._starts
+        index = bisect_right(starts, offset) - 1
+        chunk = chunks[index]
+        start = starts[index]
+        if end - start <= len(chunk):  # inside one chunk: one slice copy
+            if type(chunk) is bytes:
+                return chunk[offset - start:end - start]
+            return bytes(memoryview(chunk)[offset - start:end - start])
+        if offset - start >= len(chunk):  # past every stored byte
+            return _zeros(end - offset)
+        views = [memoryview(chunk)[offset - start:]]
+        position = start + len(chunk)
+        count = len(chunks)
+        index += 1
+        while position < end and index < count:
+            chunk = chunks[index]
+            views.append(memoryview(chunk)[:end - position])
+            position += len(chunk)
+            index += 1
+        if position < end:  # a hole past the stored bytes
+            views.append(_zeros(end - position))
+        return b"".join(views)
 
     def extend_size(self, offset: int, nbytes: int) -> None:
         """Size bookkeeping for data-less mode."""

@@ -30,7 +30,8 @@ class _SimWritableFile(WritableFile):
     by :meth:`append_owned`) or copied once (a non-owned ``bytearray`` or
     ``memoryview``: callers reuse their scratch buffers), as the local
     Env's writable file keeps them.  Whenever ``buffer_size`` bytes are
-    pending, exactly that many leave in one ``client.write``, joined once;
+    pending, exactly that many leave in one ``client.write`` as a list of
+    the pending buffers, never joined: the file keeps them by reference.
     :meth:`flush`, :meth:`sync` and :meth:`close` write the pending tail.
     """
 
@@ -80,7 +81,7 @@ class _SimWritableFile(WritableFile):
             parts.append(head)
             need -= len(head)
         self._pending_bytes -= nbytes
-        self._client.write(self._file, self._offset, b"".join(parts))
+        self._client.write(self._file, self._offset, parts)
         self._offset += nbytes
 
     def flush(self) -> None:

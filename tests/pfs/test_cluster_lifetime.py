@@ -13,6 +13,8 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import sim
 from repro.bench.figures import default_cluster
@@ -166,24 +168,108 @@ def _reference_file():
     return store, extend_size, load
 
 
-def test_stored_contents_match_the_zero_extend_model():
-    rng = random.Random(7)
+def _seeded_steps(seed=7, steps=400):
+    """The fixed 400-step walk: single-``bytes`` stores at EOF, past it
+    and inside the file, a data-less extend every 17th step, and a load
+    after every step."""
+    rng = random.Random(seed)
+    size = 0
+    out = []
+    for step in range(steps):
+        offset = rng.choice([size, size + rng.randrange(1, 5000),
+                             rng.randrange(0, size + 1)])
+        length = rng.randrange(0, 9000)
+        if step % 17 == 0:  # a data-less write: a hole past stored bytes
+            out.append(("extend", offset, length))
+        else:
+            out.append(("store", offset, [rng.randbytes(length)]))
+        size = max(size, offset + length)
+        out.append(("load", rng.randrange(0, size + 10),
+                    rng.randrange(0, 20000)))
+    return out
+
+
+@st.composite
+def _buffers(draw):
+    """One write buffer: ``bytes``, an owned ``bytearray`` or a
+    ``memoryview`` slice of a larger buffer of either kind.  Its bytes
+    come from a drawn seed: drawing thousands of bytes one by one would
+    cost more than the check."""
+    length = draw(st.integers(0, 3000))
+    payload = random.Random(draw(st.integers(0, 1 << 32))).randbytes(length)
+    kind = draw(st.sampled_from(["bytes", "bytearray", "memoryview"]))
+    if kind == "bytes":
+        return payload
+    if kind == "bytearray":
+        return bytearray(payload)
+    head = draw(st.binary(max_size=64))
+    tail = draw(st.binary(max_size=64))
+    backing = draw(st.sampled_from([bytes, bytearray]))(head + payload + tail)
+    return memoryview(backing)[len(head):len(head) + len(payload)]
+
+
+@st.composite
+def _steps(draw):
+    """Stores of one or more buffers at EOF, past it (a hole) and over
+    stored bytes, data-less extends, and a load after each.  Store and
+    load edges often fall on, or one byte either side of, the edge of an
+    earlier buffer, so overwrites and loads straddle chunk boundaries."""
+    size = 0
+    edges = [0]
+    out = []
+
+    def near_edge(lo, hi):
+        edge = draw(st.sampled_from(edges)) + draw(st.integers(-1, 1))
+        return min(max(edge, lo), hi)
+
+    for _ in range(draw(st.integers(1, 12))):
+        pick = draw(st.integers(0, 3))
+        if pick == 0:
+            offset = size
+        elif pick == 1:
+            offset = draw(st.integers(size + 1, size + 5000))
+        elif pick == 2:
+            offset = draw(st.integers(0, size))
+        else:
+            offset = near_edge(0, size)
+        if draw(st.integers(0, 9)) == 0:
+            length = draw(st.integers(0, 9000))
+            out.append(("extend", offset, length))
+        else:
+            parts = draw(st.lists(_buffers(), min_size=1, max_size=3))
+            edges.append(offset)
+            position = offset
+            for part in parts:
+                position += len(part)
+                edges.append(position)
+            length = position - offset
+            out.append(("store", offset, parts))
+        size = max(size, offset + length)
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, size + 10))
+            hi = lo + draw(st.integers(0, 20000))
+        else:
+            lo = near_edge(0, size + 10)
+            hi = near_edge(lo, size + 10)
+        out.append(("load", lo, hi - lo))
+    return out
+
+
+@settings(deadline=None)
+@example(steps=_seeded_steps())
+@given(steps=_steps())
+def test_stored_contents_match_the_zero_extend_model(steps):
     layout = StripeLayout(stripe_size=4096, stripe_count=2, start_ost=0,
                           num_osts=4)
     file = LustreFile(1, "f", layout, store_data=True)
     store, extend_size, load = _reference_file()
-    for step in range(400):
-        offset = rng.choice([file.size, file.size + rng.randrange(1, 5000),
-                             rng.randrange(0, file.size + 1)])
-        length = rng.randrange(0, 9000)
-        if step % 17 == 0:  # a data-less write: a hole past stored bytes
-            file.extend_size(offset, length)
-            extend_size(offset, length)
+    for kind, offset, arg in steps:
+        if kind == "extend":
+            file.extend_size(offset, arg)
+            extend_size(offset, arg)
+        elif kind == "store":
+            file.store(offset, arg)
+            store(offset, b"".join(arg))
         else:
-            payload = rng.randbytes(length)
-            file.store(offset, payload)
-            store(offset, payload)
-        lo = rng.randrange(0, file.size + 10)
-        span = rng.randrange(0, 20000)
-        assert file.load(lo, span) == load(lo, span)
-    assert file.load(0, file.size) == load(0, file.size)
+            assert file.load(offset, arg) == load(offset, arg)
+    assert file.load(0, file.size + 1) == load(0, file.size + 1)

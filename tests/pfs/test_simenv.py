@@ -1,5 +1,7 @@
 """Tests for SimLustreEnv: the real LSM engine on simulated Lustre."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,34 @@ class TestEnvContract:
         total_rpcs = sum(ost.stats.requests for ost in cluster.osts)
         # 1 MiB at 64K stripes over 2 OSTs → a few large RPCs, not 4096.
         assert total_rpcs <= 16
+
+
+class TestAppendsAreNotCopied:
+    def test_64mib_of_bytes_appends_allocate_under_1mib(self):
+        payload = bytes(range(256)) * 256  # 64 KiB, appended 1,024 times
+        count = (64 << 20) // len(payload)
+
+        def main(env):
+            fh = env.new_writable_file("f")
+            tracemalloc.start()
+            try:
+                for _ in range(count):
+                    fh.append(payload)
+                fh.close()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            with env.new_random_access_file("f") as reader:
+                # A span across two appended buffers and a 4 MiB write.
+                across = reader.read((4 << 20) - 100, 200)
+                return peak, reader.size(), across
+
+        (peak, size, across), _, _ = run_sim(main)
+        assert size == 64 << 20
+        assert across == payload[-100:] + payload[:100]
+        # The bytes go to the file by reference: neither the write buffer
+        # nor the stored file copies them.
+        assert peak < 1 << 20
 
 
 class TestLsmOnSimulatedLustre:
@@ -202,7 +232,9 @@ class TestWriteBufferByteIdentity:
             write = env.client.write
 
             def recording(file, offset, data):
-                writes.append((file.path, offset, bytes(data)))
+                # A list is one range handed over in pieces.
+                chunk = b"".join(data) if type(data) is list else bytes(data)
+                writes.append((file.path, offset, chunk))
                 return write(file, offset, data)
 
             env.client.write = recording
@@ -234,6 +266,13 @@ class TestWriteBufferByteIdentity:
         (writes, stored), _, _ = run_sim(main, write_buffer=buffer_size)
         assert writes == [("f", off, chunk) for off, chunk in reference.writes]
         assert stored == b"".join(op[1] for op in ops if len(op) == 2)
+        # The file keeps written buffers by reference, so it must still
+        # hold what each write carried when it was made: a buffer changed
+        # after the handoff would show here.
+        replayed = bytearray()
+        for _, offset, chunk in writes:
+            replayed[offset:offset + len(chunk)] = chunk
+        assert stored == replayed
 
     def test_writes_after_close_raise(self):
         def main(env):
