@@ -53,6 +53,7 @@ from repro.errors import NotFoundError, StorageIOError
 from repro.fault.schedule import FaultSpec, SimulatedCrash
 from repro.io import Priority, io_priority
 from repro.lsm.env import (
+    BufferedWritableFile,
     Env,
     RandomAccessFile,
     SequentialFile,
@@ -214,7 +215,7 @@ class BurstBufferTier:
         self._parked: dict[str, int] = {}
         self._seq = itertools.count(1)
         self._queue = sim.Store(self.engine, name=f"{name}.drain")
-        self._pending = 0
+        self._queued_drains = 0
         self._waiters: list[sim.Event] = []
         self._seal_count = 0
         self._drain_count = 0
@@ -444,7 +445,7 @@ class BurstBufferTier:
                 "bb", "backpressure", tier=self.name, nbytes=nbytes,
             ):
                 while sim.now() < deadline:
-                    if self._pending == 0 and not self._parked:
+                    if self._queued_drains == 0 and not self._parked:
                         break  # nothing draining: waiting cannot help
                     sim.sleep(min(_BACKPRESSURE_SLICE, deadline - sim.now()))
                     self._check_alive()
@@ -524,7 +525,7 @@ class BurstBufferTier:
             tracer.instant("bb", "seal", tier=self.name, path=path, nbytes=size)
 
     def _enqueue(self, path: str, seq: int) -> None:
-        self._pending += 1
+        self._queued_drains += 1
         self._queue.put((path, seq))
 
     # -- the async drain ---------------------------------------------------
@@ -538,8 +539,8 @@ class BurstBufferTier:
             try:
                 self._service(path, seq)
             finally:
-                self._pending -= 1
-                if self._pending == 0:
+                self._queued_drains -= 1
+                if self._queued_drains == 0:
                     while self._waiters:
                         self._waiters.pop().succeed()
 
@@ -641,7 +642,7 @@ class BurstBufferTier:
         them once the fault clears.
         """
         self._check_alive()
-        while self._pending > 0:
+        while self._queued_drains > 0:
             gate = sim.Event(self.engine, name=f"{self.name}.drained")
             self._waiters.append(gate)
             sim.wait(gate)
@@ -717,15 +718,13 @@ class BurstBufferTier:
 # ---------------------------------------------------------------------------
 
 
-class _BBWritableFile(WritableFile):
+class _BBWritableFile(BufferedWritableFile):
     """Writes absorb into the device, degrading to write-through."""
 
     def __init__(self, tier: BurstBufferTier, path: str, on_device: bool):
+        super().__init__(path, _WRITE_BUFFER)
         self._tier = tier
-        self._path = path
-        self._buffer = bytearray()
         self._base: Optional[WritableFile] = None
-        self._closed = False
         self._sealed_length = -1
         if not on_device:
             self._to_base()
@@ -733,7 +732,7 @@ class _BBWritableFile(WritableFile):
     def _to_base(self) -> None:
         self._base = self._tier.base_env.new_writable_file(self._path)
 
-    def _migrate(self, pending: bytes) -> None:
+    def _migrate(self, pending: list) -> None:
         """Ladder rung 3: move this file's bytes to the base env."""
         tier = self._tier
         device = tier.device
@@ -742,7 +741,7 @@ class _BBWritableFile(WritableFile):
         if device.up and device.exists(self._path):
             absorbed = device.read(self._path, 0, device.size(self._path))
         if absorbed:
-            self._base.append(absorbed)
+            self.append(absorbed)  # forwarded, counted as written through
         if self._sealed_length >= 0:
             # a sealed prefix was already durable on the device; keep
             # that durability promise on the new home before dropping it
@@ -759,54 +758,34 @@ class _BBWritableFile(WritableFile):
             device.delete(self._path)
         tier._open_paths.discard(self._path)
         tier._refresh_gauges()
-        if pending:
-            self._base.append(pending)
-        tier.stats.bytes_written_through += len(absorbed) + len(pending)
+        for part in pending:
+            self.append_owned(part)
 
-    def append(self, data: bytes) -> None:
-        if self._closed:
-            raise StorageIOError(f"write to closed file {self._path}")
-        if self._base is not None:
-            self._tier.stats.bytes_written_through += len(data)
-            self._base.append(data)
+    def append_owned(self, data) -> None:
+        if self._base is None:
+            super().append_owned(data)
             return
-        self._buffer += data
-        while self._base is None and len(self._buffer) >= _WRITE_BUFFER:
-            self._emit(_WRITE_BUFFER)
+        self._check_open()
+        self._tier.stats.bytes_written_through += len(data)
+        self._base.append_owned(data)
 
-    def _emit(self, nbytes: int) -> None:
-        chunk = bytes(self._buffer[:nbytes])
-        del self._buffer[:nbytes]
-        if not self._tier._absorb(self._path, chunk):
-            rest = bytes(self._buffer)
-            del self._buffer[:]
-            self._migrate(chunk + rest)
+    def _write(self, parts: list, nbytes: int) -> None:
+        if not self._tier._absorb(self._path, b"".join(parts)):
+            self._migrate(parts + self._take_pending())
 
     def flush(self) -> None:
+        super().flush()
         if self._base is not None:
-            if self._buffer:  # leftovers from before a migration
-                self._base.append(bytes(self._buffer))
-                self._tier.stats.bytes_written_through += len(self._buffer)
-                del self._buffer[:]
             self._base.flush()
-            return
-        if self._buffer:
-            self._emit(len(self._buffer))
-            if self._base is not None:
-                self._base.flush()
 
-    def sync(self) -> None:
-        self.flush()
+    def _sync(self) -> None:
         if self._base is not None:
             self._base.sync()
             return
         self._tier._seal(self._path)
         self._sealed_length = self._tier.device.size(self._path)
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self.flush()
+    def _close(self) -> None:
         if self._base is not None:
             self._base.close()
         elif self._sealed_length != self._tier.device.size(self._path):
@@ -815,7 +794,6 @@ class _BBWritableFile(WritableFile):
             # sync already covered every byte
             self._tier._seal(self._path)
         self._tier._open_paths.discard(self._path)
-        self._closed = True
 
 
 class _BBRandomAccessFile(RandomAccessFile):

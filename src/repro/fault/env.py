@@ -58,6 +58,10 @@ class _FaultyWritableFile(WritableFile):
         self._base.append(data)
         self._env._state(self._path).written += len(data)
 
+    def append_owned(self, data: bytearray) -> None:
+        self._base.append_owned(data)
+        self._env._state(self._path).written += len(data)
+
     def flush(self) -> None:
         self._base.flush()
 

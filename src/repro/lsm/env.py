@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import threading
+
 from repro.errors import NotFoundError, StorageIOError
 
 
@@ -55,6 +56,89 @@ class WritableFile:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class BufferedWritableFile(WritableFile):
+    """A writable file that batches appends into exact ``chunk``-byte writes.
+
+    Appends are kept by reference (``bytes``, and whatever is handed over
+    by :meth:`append_owned`) or copied once (a non-owned ``bytearray`` or
+    ``memoryview``: callers reuse their scratch buffers); empty ones are
+    dropped.  Whenever ``chunk`` bytes are pending, exactly that many
+    leave in one :meth:`_write`, the buffer straddling the cut split by a
+    ``memoryview``.  :meth:`flush`, :meth:`sync` and :meth:`close` write
+    the pending tail first, so the sink sees the writes of one growing
+    buffer cut at every ``chunk`` and every flush.  After :meth:`close`
+    every call but :meth:`close` raises.
+
+    Subclasses are the sink: ``_write(parts, nbytes)`` takes the parts of
+    one contiguous range (by reference) and their byte count, ``_sync()``
+    makes what was written durable, and ``_close()`` releases the sink.
+    """
+
+    def __init__(self, path: str, chunk: int):
+        self._path = path
+        self._chunk = chunk
+        self._pending: list = []
+        self._pending_bytes = 0
+        self._closed = False
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageIOError(f"write to closed file {self._path}")
+
+    def append(self, data: bytes) -> None:
+        self.append_owned(data if type(data) is bytes else bytes(data))
+
+    def append_owned(self, data) -> None:
+        self._check_open()
+        if not data:
+            return
+        self._pending.append(data)
+        self._pending_bytes += len(data)
+        while self._pending_bytes >= self._chunk:
+            self._write_pending(self._pending_bytes - self._chunk)
+
+    def _write_pending(self, keep: int = 0) -> None:
+        """Write every pending byte but the last ``keep``.
+
+        Fewer than ``chunk`` bytes were pending before the last append,
+        so the bytes kept are always a tail of the last buffer.
+        """
+        parts, self._pending = self._pending, []
+        nbytes = self._pending_bytes - keep
+        if keep:
+            last = memoryview(parts[-1])
+            cut = len(last) - keep
+            parts[-1] = last[:cut]
+            self._pending.append(last[cut:])
+        self._pending_bytes = keep
+        self._write(parts, nbytes)
+
+    def _take_pending(self) -> list:
+        """Remove every pending buffer, for a sink that moves elsewhere."""
+        taken, self._pending = self._pending, []
+        self._pending_bytes = 0
+        return taken
+
+    def flush(self) -> None:
+        self._check_open()
+        if self._pending_bytes:
+            self._write_pending()
+
+    def sync(self) -> None:
+        self.flush()
+        self._sync()
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        try:
+            if self._pending_bytes:
+                self._write_pending()
+        finally:
+            self._closed = True
+            self._close()
 
 
 class RandomAccessFile:
@@ -158,88 +242,46 @@ class Env:
 # ---------------------------------------------------------------------------
 
 
-#: pending appends to a local file leave in one ``os.writev`` at this size
+#: a local file's pending appends leave in ``os.writev`` calls of this size
 _COALESCE_BYTES = 1 << 20
 
 #: most buffers one ``os.writev`` accepts
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
-class _LocalWritableFile(WritableFile):
-    """Append-only local file that coalesces appends into vectored writes.
-
-    Appends are kept by reference (``bytes``, and whatever is handed over
-    by :meth:`append_owned`) or copied once (a non-owned ``bytearray`` or
-    ``memoryview``: callers reuse their scratch buffers) until
-    ``_COALESCE_BYTES`` or ``_IOV_MAX`` buffers are pending.  They then
-    leave in one ``os.writev`` on the raw descriptor: no join copy, and
-    the GIL is released for the whole batch.  :meth:`flush`, :meth:`sync`
-    and :meth:`close` write the pending tail first, so the file holds
-    exactly the appended bytes in order; only :meth:`sync` makes them
-    durable.  After :meth:`close` every write raises: the descriptor
-    number may already name another file.
-    """
+class _LocalWritableFile(BufferedWritableFile):
+    """Append-only local file; the sink is ``os.writev`` on the raw
+    descriptor: no join copy, and the GIL is released for the whole
+    batch.  After :meth:`close` every write raises, because the
+    descriptor number may already name another file."""
 
     def __init__(self, path: str):
         try:
             self._fh = open(path, "wb", buffering=0)
         except OSError as exc:
             raise StorageIOError(str(exc)) from exc
+        super().__init__(path, _COALESCE_BYTES)
         self._fd = self._fh.fileno()
-        self._pending: list = []
-        self._pending_bytes = 0
 
-    def append(self, data: bytes) -> None:
-        self.append_owned(data if type(data) is bytes else bytes(data))
-
-    def _check_open(self) -> None:
-        if self._fh.closed:
-            raise StorageIOError(f"write to closed file {self._fh.name}")
-
-    def append_owned(self, data) -> None:
-        self._check_open()
-        pending = self._pending
-        pending.append(data)
-        self._pending_bytes += len(data)
-        if self._pending_bytes >= _COALESCE_BYTES or len(pending) >= _IOV_MAX:
-            self._write_pending()
-
-    def _write_pending(self) -> None:
-        bufs, expected = self._pending, self._pending_bytes
-        if not bufs:
-            return
-        self._pending = []
-        self._pending_bytes = 0
+    def _write(self, parts: list, nbytes: int) -> None:
         while True:
-            written = os.writev(self._fd, bufs)
-            if written == expected:
+            written = os.writev(self._fd, parts[:_IOV_MAX])
+            nbytes -= written
+            if not nbytes:
                 return
-            # Short write (or a buffer whose len() is not its byte count):
-            # drop what landed and resume inside the first remainder.
-            views = [memoryview(buf).cast("B") for buf in bufs]
-            while views and written >= views[0].nbytes:
-                written -= views.pop(0).nbytes
-            if not views:
-                return
-            views[0] = views[0][written:]
-            bufs = views
-            expected = sum(view.nbytes for view in views)
+            # A short write, or the end of one ``_IOV_MAX`` slice: drop
+            # what landed and resume inside the first remainder.
+            i = 0
+            while written >= len(parts[i]):
+                written -= len(parts[i])
+                i += 1
+            parts = [memoryview(parts[i])[written:], *parts[i + 1:]]
 
-    def flush(self) -> None:
-        self._check_open()
-        self._write_pending()
-
-    def sync(self) -> None:
-        self.flush()
+    def _sync(self) -> None:
         os.fsync(self._fd)
 
-    def close(self) -> None:
-        if self._fh.closed:
-            return
-        try:
-            self._write_pending()
-        finally:
-            self._fh.close()
+    def _close(self) -> None:
+        self._fh.close()
 
 
 class _LocalRandomAccessFile(RandomAccessFile):
@@ -451,30 +493,34 @@ class _MemFile:
 
 
 class _MemWritableFile(WritableFile):
-    def __init__(self, mem: _MemFile):
+    """Appends land in the file at once: there is nothing to flush."""
+
+    def __init__(self, path: str, mem: _MemFile):
+        self._path = path
         self._mem = mem
         self._closed = False
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageIOError(f"write to closed file {self._path}")
 
     def append(self, data: bytes) -> None:
         # bytes(data) is free for bytes input and one exact-size copy for
         # bytearray/memoryview input (callers reuse their scratch buffers).
-        chunk = bytes(data)
+        self.append_owned(bytes(data))
+
+    def append_owned(self, data) -> None:
+        # Ownership transferred: keep the caller's bytearray as the chunk.
+        self._check_open()
+        chunk = data if isinstance(data, bytearray) else bytes(data)
         self._mem.chunks.append(chunk)
         self._mem.length += len(chunk)
 
-    def append_owned(self, data: bytearray) -> None:
-        # Ownership transferred: keep the caller's buffer as the chunk.
-        if not isinstance(data, bytearray):
-            self.append(data)
-            return
-        self._mem.chunks.append(data)
-        self._mem.length += len(data)
-
     def flush(self) -> None:
-        pass
+        self._check_open()
 
     def sync(self) -> None:
-        pass
+        self._check_open()
 
     def close(self) -> None:
         self._closed = True
@@ -524,7 +570,7 @@ class MemEnv(Env):
         with self._lock:
             mem = _MemFile()
             self._files[self._norm(path)] = mem
-            return _MemWritableFile(mem)
+            return _MemWritableFile(path, mem)
 
     def _lookup(self, path: str) -> _MemFile:
         try:

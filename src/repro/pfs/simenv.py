@@ -13,27 +13,25 @@ All methods must be called from within a simulated process.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Optional
 
-from repro.errors import NotFoundError, StorageIOError
-from repro.lsm.env import Env, RandomAccessFile, SequentialFile, WritableFile
+from repro.errors import NotFoundError
+from repro.lsm.env import (
+    BufferedWritableFile,
+    Env,
+    RandomAccessFile,
+    SequentialFile,
+    WritableFile,
+)
 from repro.pfs.client import LustreClient
 from repro.pfs.lustre import LustreFile
 from repro.util.humanize import parse_size
 
 
-class _SimWritableFile(WritableFile):
-    """Append-only stream with page-cache-style batching.
-
-    Appends are kept by reference (``bytes``, and whatever is handed over
-    by :meth:`append_owned`) or copied once (a non-owned ``bytearray`` or
-    ``memoryview``: callers reuse their scratch buffers), as the local
-    Env's writable file keeps them.  Whenever ``buffer_size`` bytes are
-    pending, exactly that many leave in one ``client.write`` as a list of
-    the pending buffers, never joined: the file keeps them by reference.
-    :meth:`flush`, :meth:`sync` and :meth:`close` write the pending tail.
-    """
+class _SimWritableFile(BufferedWritableFile):
+    """Append-only stream with page-cache-style batching: each
+    ``buffer_size`` chunk leaves in one ``client.write`` as the list of
+    its buffers, never joined, and the file keeps them by reference."""
 
     def __init__(
         self,
@@ -42,66 +40,24 @@ class _SimWritableFile(WritableFile):
         buffer_size: int,
         charge_mds_on_close: bool,
     ):
+        super().__init__(file.path, buffer_size)
         self._client = client
         self._file = file
-        self._pending: deque = deque()
-        self._pending_bytes = 0
-        self._buffer_size = buffer_size
         self._offset = 0
-        self._closed = False
         self._charge_mds_on_close = charge_mds_on_close
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageIOError(f"write to closed file {self._file.path}")
-
-    def append(self, data: bytes) -> None:
-        self.append_owned(data if type(data) is bytes else bytes(data))
-
-    def append_owned(self, data) -> None:
-        self._check_open()
-        if not data:
-            return
-        self._pending.append(data)
-        self._pending_bytes += len(data)
-        while self._pending_bytes >= self._buffer_size:
-            self._emit(self._buffer_size)
-
-    def _emit(self, nbytes: int) -> None:
-        """Write the first ``nbytes`` pending bytes as one chunk."""
-        pending = self._pending
-        parts = []
-        need = nbytes
-        while need:
-            head = pending.popleft()
-            if len(head) > need:  # split: the tail stays pending, uncopied
-                head = memoryview(head)
-                pending.appendleft(head[need:])
-                head = head[:need]
-            parts.append(head)
-            need -= len(head)
-        self._pending_bytes -= nbytes
+    def _write(self, parts: list, nbytes: int) -> None:
         self._client.write(self._file, self._offset, parts)
         self._offset += nbytes
 
-    def flush(self) -> None:
-        self._check_open()
-        if self._pending_bytes:
-            self._emit(self._pending_bytes)
-
-    def sync(self) -> None:
-        self.flush()
+    def _sync(self) -> None:
         self._client.fsync(self._file)
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self.flush()
+    def _close(self) -> None:
         if self._charge_mds_on_close:
             self._client.close(self._file)
         else:
             self._client.fsync(self._file)
-        self._closed = True
 
 
 class _SimRandomAccessFile(RandomAccessFile):

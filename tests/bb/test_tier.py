@@ -9,6 +9,7 @@ from repro.bb import (
     BurstBufferTier,
     SegmentState,
 )
+from repro.bb import tier as tier_module
 from repro.errors import NotFoundError, StorageIOError
 from repro.fault import FaultSchedule, SimulatedCrash
 from repro.lsm.env import MemEnv
@@ -102,6 +103,23 @@ class TestHappyPath:
 
         run_sim(main)
 
+    def test_sync_after_close_raises_and_never_reseals(self):
+        def main():
+            tier = make_tier()
+            write_file(tier.env, "seg", b"abc", sync=True)
+            out = tier.env.new_writable_file("late")
+            out.append(b"xyz")
+            out.close()
+            for late in (out.flush, out.sync):
+                with pytest.raises(StorageIOError, match="closed"):
+                    late()
+            tier.drain_barrier()
+            snap = tier.stats.snapshot()
+            assert snap["segments_sealed"] == 2  # one per file
+            assert snap["segments_committed"] == 2
+
+        run_sim(main)
+
 
 class TestDegradationLadder:
     def test_eviction_frees_committed_segments(self):
@@ -185,6 +203,31 @@ class TestDegradationLadder:
             assert tier.stats.degraded_writes == 1
             assert read_file(base, "f") == first + second
             assert read_file(env, "f") == first + second
+
+        run_sim(main)
+
+    def test_overflow_inside_an_append_migrates_its_pending_tail(
+        self, monkeypatch
+    ):
+        """A 48K append against 32K writes: the first 32K fails to
+        absorb, and the 16K still pending moves to the base with it."""
+        monkeypatch.setattr(tier_module, "_WRITE_BUFFER", 32 << 10)
+        first, second = b"1" * (48 << 10), b"2" * (48 << 10)
+
+        def main():
+            base = MemEnv()
+            tier = make_tier(base, capacity="64K")
+            out = tier.env.new_writable_file("f")
+            out.append(first)
+            out.sync()  # 48K absorbed and sealed
+            out.append(second)  # the first 32K overflow the device
+            assert tier.stats.degraded_writes == 1
+            out.append(b"3")  # later appends go straight to the base
+            out.close()
+            assert read_file(base, "f") == first + second + b"3"
+            assert tier.stats.bytes_written_through == len(
+                first + second + b"3"
+            )
 
         run_sim(main)
 

@@ -1,5 +1,8 @@
-"""Tests for the Env abstraction (LocalFsEnv and MemEnv behave alike)."""
+"""The Env conformance suite: LocalFsEnv, MemEnv, SimLustreEnv, the
+burst buffer and FaultyEnv keep one contract, then the local Env's own
+read and descriptor behaviour."""
 
+import contextlib
 import gc
 import os
 import random
@@ -12,118 +15,325 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import sim
+from repro.bb import BurstBufferTier
+from repro.bb import tier as tier_module
 from repro.errors import NotFoundError, StorageIOError
+from repro.fault import FaultyEnv
 from repro.lsm import DB, Options
 from repro.lsm import env as env_module
 from repro.lsm.env import LocalFsEnv, MemEnv
+from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
+from repro.pfs.configs import small_test_cluster
+
+KINDS = ["local", "mem", "sim", "bb", "faulty"]
 
 
-@pytest.fixture(params=["mem", "local"])
-def env_root(request, tmp_path):
-    if request.param == "mem":
-        env = MemEnv()
-        return env, "root"
-    env = LocalFsEnv()
-    return env, str(tmp_path / "root")
+def run_on(kind, body, chunk=None):
+    """``body(env, root)`` on a fresh Env of ``kind``; returns its result.
+
+    ``chunk`` is the write size of the buffered Envs (local, sim, bb).
+    ``sim`` and ``bb`` (a burst-buffer tier over a ``MemEnv``) run inside
+    a simulated process; ``faulty`` is a ``FaultyEnv`` over a ``MemEnv``.
+    """
+    if kind == "mem":
+        return body(MemEnv(), "root")
+    if kind == "faulty":
+        return body(FaultyEnv(MemEnv()), "root")
+    with contextlib.ExitStack() as stack:
+        if kind == "local":
+            if chunk:
+                stack.enter_context(
+                    mock.patch.object(env_module, "_COALESCE_BYTES", chunk)
+                )
+            tmp = stack.enter_context(tempfile.TemporaryDirectory())
+            return body(LocalFsEnv(), os.path.join(tmp, "root"))
+        if chunk:
+            stack.enter_context(
+                mock.patch.object(tier_module, "_WRITE_BUFFER", chunk)
+            )
+        engine = stack.enter_context(sim.Engine())
+        if kind == "sim":
+            cluster = LustreCluster(engine, small_test_cluster())
+            env = SimLustreEnv(
+                LustreClient(cluster, 0), write_buffer=chunk or "4M"
+            )
+            proc = engine.spawn(body, env, "root")
+        else:
+            proc = engine.spawn(
+                lambda: body(BurstBufferTier(MemEnv()).env, "root")
+            )
+        engine.run()
+        return proc.result
 
 
+def read_all(env, path):
+    with env.new_random_access_file(path) as fh:
+        return fh.read(0, env.file_size(path))
+
+
+_appends = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["bytes", "bytearray", "memoryview", "owned"]),
+            st.binary(max_size=96),
+        ),
+        st.sampled_from([("flush",), ("sync",)]),
+    ),
+    max_size=24,
+)
+
+
+def apply_ops(fh, ops):
+    """Run an ``_appends`` script on ``fh``; the appended bytes."""
+    for op in ops:
+        if len(op) == 1:
+            getattr(fh, op[0])()
+            continue
+        kind, payload = op
+        if kind == "bytes":
+            fh.append(payload)
+        elif kind == "owned":
+            fh.append_owned(bytearray(payload))
+        else:
+            scratch = bytearray(payload)
+            fh.append(scratch if kind == "bytearray" else memoryview(scratch))
+            # Callers reuse their scratch as soon as append returns.
+            scratch[:] = bytes(b ^ 0xFF for b in scratch)
+    return b"".join(op[1] for op in ops if len(op) == 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 class TestEnvContract:
-    def test_write_then_read(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        path = env.join(root, "file")
-        with env.new_writable_file(path) as fh:
-            fh.append(b"hello ")
-            fh.append(b"world")
+    def test_write_then_read(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            path = env.join(root, "file")
+            with env.new_writable_file(path) as fh:
+                fh.append(b"hello ")
+                fh.append(b"world")
+                fh.flush()
+                fh.sync()
+            assert env.file_exists(path)
+            assert env.file_size(path) == 11
+            with env.new_random_access_file(path) as fh:
+                assert fh.read(0, 5) == b"hello"
+                assert fh.read(6, 5) == b"world"
+                assert fh.size() == 11
+
+        run_on(kind, body)
+
+    def test_read_past_eof_is_short(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            path = env.join(root, "f")
+            with env.new_writable_file(path) as fh:
+                fh.append(b"abc")
+            with env.new_random_access_file(path) as fh:
+                assert fh.read(2, 100) == b"c"
+                assert fh.read(50, 10) == b""
+
+        run_on(kind, body)
+
+    def test_sequential_read(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            path = env.join(root, "f")
+            with env.new_writable_file(path) as fh:
+                fh.append(b"0123456789")
+            with env.new_sequential_file(path) as fh:
+                assert fh.read(4) == b"0123"
+                assert fh.read(4) == b"4567"
+                assert fh.read(4) == b"89"
+                assert fh.read(4) == b""
+
+        run_on(kind, body)
+
+    def test_missing_file_raises(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            with pytest.raises(NotFoundError):
+                env.new_random_access_file(env.join(root, "nope"))
+            with pytest.raises(NotFoundError):
+                env.file_size(env.join(root, "nope"))
+            with pytest.raises(NotFoundError):
+                env.delete_file(env.join(root, "nope"))
+
+        run_on(kind, body)
+
+    def test_delete(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            path = env.join(root, "f")
+            env.new_writable_file(path).close()
+            env.delete_file(path)
+            assert not env.file_exists(path)
+
+        run_on(kind, body)
+
+    def test_rename_replaces(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            src, dst = env.join(root, "src"), env.join(root, "dst")
+            with env.new_writable_file(src) as fh:
+                fh.append(b"data")
+            with env.new_writable_file(dst) as fh:
+                fh.append(b"old")
+            env.rename_file(src, dst)
+            assert not env.file_exists(src)
+            with env.new_random_access_file(dst) as fh:
+                assert fh.read(0, 10) == b"data"
+
+        run_on(kind, body)
+
+    def test_get_children(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            for name in ("b", "a", "c"):
+                env.new_writable_file(env.join(root, name)).close()
+            assert env.get_children(root) == ["a", "b", "c"]
+
+        run_on(kind, body)
+
+    def test_get_children_missing_dir_raises(self, kind):
+        def body(env, root):
+            with pytest.raises(NotFoundError):
+                env.get_children(env.join(root, "missing-dir"))
+
+        run_on(kind, body)
+
+    def test_create_dir_idempotent(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            env.create_dir(root)
+            assert env.get_children(root) == []
+
+        run_on(kind, body)
+
+    def test_overwrite_truncates(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            path = env.join(root, "f")
+            with env.new_writable_file(path) as fh:
+                fh.append(b"long content here")
+            with env.new_writable_file(path) as fh:
+                fh.append(b"x")
+            assert env.file_size(path) == 1
+
+        run_on(kind, body)
+
+    @settings(deadline=None)
+    @given(ops=_appends, chunk=st.integers(1, 64))
+    def test_file_holds_the_appended_bytes_in_order(self, kind, ops, chunk):
+        """Owned and non-owned appends, reused caller scratch, flushes and
+        syncs anywhere, any write size: the file holds exactly the
+        appended bytes."""
+
+        def body(env, root):
+            env.create_dir(root)
+            path = env.join(root, "f")
+            fh = env.new_writable_file(path)
+            appended = apply_ops(fh, ops)
+            fh.close()
+            return appended, read_all(env, path)
+
+        appended, stored = run_on(kind, body, chunk)
+        assert stored == appended
+
+    def test_flushed_bytes_are_readable_before_close(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            path = env.join(root, "f")
+            fh = env.new_writable_file(path)
+            fh.append(b"first ")
+            fh.append_owned(bytearray(b"second"))
             fh.flush()
+            seen = read_all(env, path)
+            fh.append(b" third")
+            fh.close()
+            return seen, read_all(env, path)
+
+        assert run_on(kind, body) == (b"first second", b"first second third")
+
+    def test_writes_after_close_raise(self, kind):
+        def body(env, root):
+            env.create_dir(root)
+            a_path, b_path = env.join(root, "a"), env.join(root, "b")
+            a = env.new_writable_file(a_path)
+            a.append(b"AAA")
+            a.close()
+            # ``b`` may reuse the descriptor number ``a`` released: a late
+            # write through ``a`` must not land in it.
+            b = env.new_writable_file(b_path)
+            b.append(b"BBB")
+            b.flush()
+            clock = sim.now() if kind in ("sim", "bb") else None
+            for late in (
+                lambda: a.append(b"STALE"),
+                lambda: a.append_owned(bytearray(b"STALE")),
+                a.flush,
+                a.sync,
+            ):
+                with pytest.raises(StorageIOError, match="closed"):
+                    late()
+            if clock is not None:
+                assert sim.now() == clock  # no I/O charged after close
+            a.close()  # still idempotent
+            b.close()
+            return read_all(env, a_path), read_all(env, b_path)
+
+        assert run_on(kind, body) == (b"AAA", b"BBB")
+
+    def test_synced_bytes_survive_a_crash(self, kind):
+        durable, tail = b"synced " * 64, b"at risk " * 64
+
+        def body(env, root):
+            env = env if isinstance(env, FaultyEnv) else FaultyEnv(env)
+            env.create_dir(root)
+            path = env.join(root, "f")
+            fh = env.new_writable_file(path)
+            fh.append(durable)
             fh.sync()
-        assert env.file_exists(path)
-        assert env.file_size(path) == 11
-        with env.new_random_access_file(path) as fh:
-            assert fh.read(0, 5) == b"hello"
-            assert fh.read(6, 5) == b"world"
-            assert fh.size() == 11
+            fh.append(tail[:256])
+            fh.flush()
+            fh.append(tail[256:])
+            env.crash()
+            stored = read_all(env, path)
+            fh.close()  # release the dead writer; the file was read first
+            return stored
 
-    def test_read_past_eof_is_short(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        path = env.join(root, "f")
-        with env.new_writable_file(path) as fh:
-            fh.append(b"abc")
-        with env.new_random_access_file(path) as fh:
-            assert fh.read(2, 100) == b"c"
-            assert fh.read(50, 10) == b""
+        stored = run_on(kind, body, chunk=100)
+        assert stored.startswith(durable)
+        assert (durable + tail).startswith(stored)
 
-    def test_sequential_read(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        path = env.join(root, "f")
-        with env.new_writable_file(path) as fh:
-            fh.append(b"0123456789")
-        with env.new_sequential_file(path) as fh:
-            assert fh.read(4) == b"0123"
-            assert fh.read(4) == b"4567"
-            assert fh.read(4) == b"89"
-            assert fh.read(4) == b""
 
-    def test_missing_file_raises(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        with pytest.raises(NotFoundError):
-            env.new_random_access_file(env.join(root, "nope"))
-        with pytest.raises(NotFoundError):
-            env.file_size(env.join(root, "nope"))
-        with pytest.raises(NotFoundError):
-            env.delete_file(env.join(root, "nope"))
+class TestLocalShortWrites:
+    @settings(deadline=None)
+    @given(ops=_appends, chunk=st.integers(1, 64),
+           dribble=st.integers(1, 16), iov_max=st.integers(1, 4))
+    def test_short_writevs_resume_where_they_stopped(
+        self, ops, chunk, dribble, iov_max
+    ):
+        """Each ``os.writev`` takes at most ``_IOV_MAX`` buffers and may
+        write only ``dribble`` bytes; the file still holds every byte."""
+        calls = []
 
-    def test_delete(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        path = env.join(root, "f")
-        env.new_writable_file(path).close()
-        env.delete_file(path)
-        assert not env.file_exists(path)
+        def short_writev(fd, bufs):
+            calls.append(len(bufs))
+            return os.write(fd, b"".join(bufs)[:dribble])
 
-    def test_rename_replaces(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        src, dst = env.join(root, "src"), env.join(root, "dst")
-        with env.new_writable_file(src) as fh:
-            fh.append(b"data")
-        with env.new_writable_file(dst) as fh:
-            fh.append(b"old")
-        env.rename_file(src, dst)
-        assert not env.file_exists(src)
-        with env.new_random_access_file(dst) as fh:
-            assert fh.read(0, 10) == b"data"
+        def body(env, root):
+            fh = env.new_writable_file(root)
+            appended = apply_ops(fh, ops)
+            fh.close()
+            with open(root, "rb") as stored:
+                return appended, stored.read()
 
-    def test_get_children(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        for name in ("b", "a", "c"):
-            env.new_writable_file(env.join(root, name)).close()
-        assert env.get_children(root) == ["a", "b", "c"]
-
-    def test_get_children_missing_dir_raises(self, env_root):
-        env, root = env_root
-        with pytest.raises(NotFoundError):
-            env.get_children(env.join(root, "missing-dir"))
-
-    def test_create_dir_idempotent(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        env.create_dir(root)
-        assert env.get_children(root) == []
-
-    def test_overwrite_truncates(self, env_root):
-        env, root = env_root
-        env.create_dir(root)
-        path = env.join(root, "f")
-        with env.new_writable_file(path) as fh:
-            fh.append(b"long content here")
-        with env.new_writable_file(path) as fh:
-            fh.append(b"x")
-        assert env.file_size(path) == 1
+        with mock.patch.object(os, "writev", short_writev), \
+                mock.patch.object(env_module, "_IOV_MAX", iov_max):
+            appended, stored = run_on("local", body, chunk)
+        assert stored == appended
+        assert all(n <= iov_max for n in calls)
 
 
 class TestLocalMmap:
@@ -268,89 +478,6 @@ class TestLocalReaderLifetime:
             ), open_tables
         finally:
             db.close()
-
-
-class TestLocalWriterLifetime:
-    def test_writes_after_close_raise_instead_of_reaching_a_reused_fd(
-        self, tmp_path
-    ):
-        # Closing ``a`` frees its descriptor number and ``b`` typically
-        # reuses it: a write through ``a``'s stale number would land in
-        # ``b`` (``b"STALEBBB"``).
-        env = LocalFsEnv()
-        a = env.new_writable_file(str(tmp_path / "a"))
-        a.append(b"AAA")
-        a.close()
-        b = env.new_writable_file(str(tmp_path / "b"))
-        b.append(b"BBB")
-        for write in (
-            lambda: a.append(b"STALE"),
-            lambda: a.append_owned(bytearray(b"STALE")),
-            a.flush,
-            a.sync,
-        ):
-            with pytest.raises(StorageIOError, match="closed"):
-                write()
-        a.close()  # still idempotent
-        b.close()
-        assert (tmp_path / "a").read_bytes() == b"AAA"
-        assert (tmp_path / "b").read_bytes() == b"BBB"
-
-
-_appends = st.lists(
-    st.one_of(
-        st.tuples(
-            st.sampled_from(["bytes", "bytearray", "memoryview", "owned"]),
-            st.binary(max_size=96),
-        ),
-        st.sampled_from([("flush",), ("sync",)]),
-    ),
-    max_size=24,
-)
-
-
-class TestLocalWriteBufferByteIdentity:
-    @settings(deadline=None)
-    @given(ops=_appends, coalesce=st.integers(1, 64),
-           dribble=st.none() | st.integers(1, 16))
-    def test_file_holds_the_appended_bytes_in_order(
-        self, ops, coalesce, dribble
-    ):
-        """Coalesced writes, resumed short writes and reused caller
-        scratch all leave exactly the appended bytes on disk."""
-        writev = os.writev
-
-        def short_writev(fd, bufs):
-            if dribble is None:
-                return writev(fd, bufs)
-            joined = b"".join(memoryview(buf).cast("B") for buf in bufs)
-            return os.write(fd, joined[:dribble])
-
-        with tempfile.TemporaryDirectory() as root, \
-                mock.patch.object(env_module, "_COALESCE_BYTES", coalesce), \
-                mock.patch.object(os, "writev", short_writev):
-            path = os.path.join(root, "f")
-            fh = LocalFsEnv().new_writable_file(path)
-            for op in ops:
-                if len(op) == 1:
-                    getattr(fh, op[0])()
-                    continue
-                kind, payload = op
-                if kind == "bytes":
-                    fh.append(payload)
-                elif kind == "owned":
-                    fh.append_owned(bytearray(payload))
-                else:
-                    scratch = bytearray(payload)
-                    fh.append(
-                        scratch if kind == "bytearray" else memoryview(scratch)
-                    )
-                    scratch[:] = bytes(b ^ 0xFF for b in scratch)
-            fh.close()
-            with open(path, "rb") as stored:
-                assert stored.read() == b"".join(
-                    op[1] for op in ops if len(op) == 2
-                )
 
 
 class TestMemEnvNesting:

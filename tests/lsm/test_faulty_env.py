@@ -59,6 +59,16 @@ class TestCrashSemantics:
             recovered.close()
         pytest.fail("no seed in 0..19 ever tore the un-synced tail")
 
+    def test_append_owned_hands_the_buffer_to_the_base(self):
+        env = FaultyEnv(MemEnv())
+        owned = bytearray(b"owned bytes")
+        with env.new_writable_file("f") as fh:
+            fh.append_owned(owned)
+        # The base keeps the caller's buffer itself: no second copy.
+        assert env.base._files["f"].chunks[0] is owned
+        # ...and the crash model counts its bytes as written, unsynced.
+        assert env._files["f"].written == len(owned)
+
     def test_crash_is_deterministic_per_seed(self):
         def run(seed):
             env = FaultyEnv(MemEnv(), seed=seed)

@@ -1,13 +1,14 @@
 """Tests for SimLustreEnv: the real LSM engine on simulated Lustre."""
 
 import tracemalloc
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import sim
-from repro.errors import NotFoundError, StorageIOError
+from repro.bb import BurstBufferTier
+from repro.bb import tier as bb_tier
 from repro.lsm import DB, Options
 from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
 from repro.pfs.configs import small_test_cluster
@@ -24,56 +25,7 @@ def run_sim(fn, config=None, **env_kwargs):
         return proc.result, cluster, elapsed
 
 
-class TestEnvContract:
-    def test_write_read_roundtrip(self):
-        def main(env):
-            env.create_dir("d")
-            with env.new_writable_file("d/f") as fh:
-                fh.append(b"hello ")
-                fh.append(b"simulated lustre")
-                fh.sync()
-            with env.new_random_access_file("d/f") as fh:
-                return fh.read(0, 100), fh.size()
-
-        (data, size), _, elapsed = run_sim(main)
-        assert data == b"hello simulated lustre"
-        assert size == 22
-        assert elapsed > 0  # I/O took simulated time
-
-    def test_sequential_file(self):
-        def main(env):
-            with env.new_writable_file("f") as fh:
-                fh.append(b"0123456789")
-            with env.new_sequential_file("f") as fh:
-                return fh.read(4), fh.read(10)
-
-        (first, rest), _, _ = run_sim(main)
-        assert (first, rest) == (b"0123", b"456789")
-
-    def test_missing_file(self):
-        def main(env):
-            with pytest.raises(NotFoundError):
-                env.new_random_access_file("missing")
-            with pytest.raises(NotFoundError):
-                env.file_size("missing")
-            return True
-
-        assert run_sim(main)[0]
-
-    def test_namespace_ops(self):
-        def main(env):
-            env.create_dir("db")
-            env.new_writable_file("db/b").close()
-            env.new_writable_file("db/a").close()
-            env.rename_file("db/b", "db/c")
-            children = env.get_children("db")
-            env.delete_file("db/a")
-            return children, env.get_children("db")
-
-        (before, after), _, _ = run_sim(main)
-        assert before == ["a", "c"]
-        assert after == ["c"]
-
+class TestWriteBatching:
     def test_small_appends_batch_into_large_rpcs(self):
         def main(env):
             with env.new_writable_file("f") as fh:
@@ -220,6 +172,30 @@ def _write_scripts(draw):
     return buffer_size, draw(st.lists(op, max_size=24))
 
 
+def _drive(fh, ops, reference) -> bytes:
+    """Run a ``_write_scripts`` script on ``fh`` and on ``reference``;
+    returns the appended bytes."""
+    for op in ops:
+        if op[0] in ("flush", "sync"):
+            getattr(fh, op[0])()
+            reference.flush()
+            continue
+        kind, payload = op
+        reference.append(payload)
+        if kind == "bytes":
+            fh.append(payload)
+        elif kind == "owned":
+            fh.append_owned(bytearray(payload))
+        else:
+            scratch = bytearray(payload)
+            fh.append(scratch if kind == "bytearray" else memoryview(scratch))
+            # Callers reuse their scratch as soon as append returns.
+            scratch[:] = bytes(b ^ 0xFF for b in scratch)
+    fh.close()
+    reference.flush()
+    return b"".join(op[1] for op in ops if len(op) == 2)
+
+
 class TestWriteBufferByteIdentity:
     @settings(deadline=None)
     @given(script=_write_scripts())
@@ -238,34 +214,16 @@ class TestWriteBufferByteIdentity:
                 return write(file, offset, data)
 
             env.client.write = recording
-            fh = env.new_writable_file("f")
-            for op in ops:
-                if op[0] in ("flush", "sync"):
-                    getattr(fh, op[0])()
-                    reference.flush()
-                    continue
-                kind, payload = op
-                reference.append(payload)
-                if kind == "bytes":
-                    fh.append(payload)
-                elif kind == "owned":
-                    fh.append_owned(bytearray(payload))
-                else:
-                    scratch = bytearray(payload)
-                    fh.append(
-                        scratch if kind == "bytearray" else memoryview(scratch)
-                    )
-                    # Callers reuse their scratch as soon as append returns.
-                    scratch[:] = bytes(b ^ 0xFF for b in scratch)
-            fh.close()
-            reference.flush()
+            appended = _drive(env.new_writable_file("f"), ops, reference)
             size = env.file_size("f")
             with env.new_random_access_file("f") as reader:
-                return writes, reader.read(0, size)
+                return writes, appended, reader.read(0, size)
 
-        (writes, stored), _, _ = run_sim(main, write_buffer=buffer_size)
+        (writes, appended, stored), _, _ = run_sim(
+            main, write_buffer=buffer_size
+        )
         assert writes == [("f", off, chunk) for off, chunk in reference.writes]
-        assert stored == b"".join(op[1] for op in ops if len(op) == 2)
+        assert stored == appended
         # The file keeps written buffers by reference, so it must still
         # hold what each write carried when it was made: a buffer changed
         # after the handoff would show here.
@@ -274,22 +232,30 @@ class TestWriteBufferByteIdentity:
             replayed[offset:offset + len(chunk)] = chunk
         assert stored == replayed
 
-    def test_writes_after_close_raise(self):
-        def main(env):
-            fh = env.new_writable_file("f")
-            fh.append(b"data")
-            fh.close()
-            closed_at = sim.now()
-            for write in (
-                lambda: fh.append(b"late"),
-                lambda: fh.append_owned(bytearray(b"late")),
-                fh.flush,
-                fh.sync,
-            ):
-                with pytest.raises(StorageIOError, match="closed"):
-                    write()
-            fh.close()  # still idempotent
-            return closed_at, sim.now()
+    @settings(deadline=None)
+    @given(script=_write_scripts())
+    def test_burst_buffer_absorbs_match_a_copying_bytearray_buffer(
+        self, script
+    ):
+        """The burst buffer over this Env absorbs the same chunks."""
+        buffer_size, ops = script
+        reference = _ReferenceWriter(buffer_size)
 
-        (closed_at, end), _, _ = run_sim(main)
-        assert end == closed_at  # no simulated RPC left after close
+        def main(env):
+            tier = BurstBufferTier(env)
+            absorbs = []
+            absorb = tier._absorb
+
+            def recording(path, chunk):
+                absorbs.append((path, chunk))
+                return absorb(path, chunk)
+
+            tier._absorb = recording
+            appended = _drive(tier.env.new_writable_file("f"), ops, reference)
+            with tier.env.new_sequential_file("f") as reader:
+                return absorbs, appended, reader.read(len(appended) + 1)
+
+        with mock.patch.object(bb_tier, "_WRITE_BUFFER", buffer_size):
+            (absorbs, appended, stored), _, _ = run_sim(main)
+        assert absorbs == [("f", chunk) for _, chunk in reference.writes]
+        assert stored == appended
