@@ -21,12 +21,12 @@ Lustre cluster:
   fleet resumes when the *slowest* rank is back, not the average one.
 
 Every rank is a lightweight generator process (``Engine.spawn_light``),
-which is what makes 1024-rank fleets tractable: the same campaign under
-``mode="threads"`` runs one OS thread per rank and is the baseline the
-engine-speedup gate in ``benchmarks/micro/BENCH_llm.json`` is measured
-against.  Both modes replay the identical event schedule — the results
-dict is sim-deterministic (no wall-clock values), so CI can run the
-campaign twice and diff the JSON byte for byte.
+which is what makes 1024-rank fleets tractable.  The results dict is
+sim-deterministic (no wall-clock values):
+``tests/integration/test_campaign_goldens.py`` pins the 1024-rank quick
+point by hash, and ``tests/bench/test_llm.py`` replays a small fleet on
+the thread backend (``Engine(light_processes=False)``) as the reference
+schedule.
 
 Request amplification is reported as *PFS requests per logical file op*:
 the application performs creates/writes/closes/unlinks/opens/reads; the
@@ -98,11 +98,9 @@ class LlmConfig:
     stripe_count: int = 4
     #: re-read the newest checkpoint from every rank after training
     restore_storm: bool = True
-    #: "light" = generator processes, "threads" = thread-per-process
-    mode: str = "light"
 
     def quick(self) -> "LlmConfig":
-        """The reduced point CI runs: same shape, small payloads."""
+        """The reduced point: same shape, small payloads."""
         return replace(
             self,
             epochs=2,
@@ -187,10 +185,8 @@ def _rank_lw(client: LustreClient, comm, cfg: LlmConfig, fleet: _Fleet):
 
 def run_llm_scenario(cfg: LlmConfig) -> dict:
     """Run one campaign point; returns a sim-deterministic result dict."""
-    if cfg.mode not in ("light", "threads"):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
     fleet = _Fleet()
-    with sim.Engine(light_processes=cfg.mode == "light") as engine:
+    with sim.Engine() as engine:
         cluster = LustreCluster(engine, fleet_config(cfg.ranks))
         world = World(engine, cfg.ranks)
         clients = [LustreClient(cluster, r) for r in range(cfg.ranks)]
@@ -217,7 +213,6 @@ def run_llm_scenario(cfg: LlmConfig) -> dict:
     result = {
         "ranks": cfg.ranks,
         "epochs": cfg.epochs,
-        "mode": cfg.mode,
         "files_per_checkpoint": cfg.files_per_checkpoint,
         "checkpoint_bytes_per_rank": cfg.bytes_per_checkpoint,
         "bytes_written": bytes_written,
@@ -258,10 +253,9 @@ def run_llm_scenario(cfg: LlmConfig) -> dict:
 def run_llm_campaign(
     rank_counts=DEFAULT_RANK_COUNTS,
     quick: bool = False,
-    mode: str = "light",
 ) -> dict:
     """Sweep the fleet-size axis; returns ``{"points": [...], ...}``."""
-    base = LlmConfig(mode=mode)
+    base = LlmConfig()
     if quick:
         base = base.quick()
     points = []
@@ -271,7 +265,6 @@ def run_llm_campaign(
     return {
         "workload": "llm-checkpoint-restore",
         "quick": bool(quick),
-        "mode": mode,
         "points": points,
     }
 
@@ -279,8 +272,8 @@ def run_llm_campaign(
 def format_llm(result: dict) -> str:
     """Render the campaign as an aligned table."""
     lines = [
-        "LLM fleet checkpoint/restore "
-        f"({'quick, ' if result['quick'] else ''}mode={result['mode']})",
+        "LLM fleet checkpoint/restore"
+        f"{' (quick)' if result['quick'] else ''}",
         f"{'ranks':>6} {'ckpt/rank':>10} {'write GiB/s':>12} "
         f"{'restore GiB/s':>14} {'p99 restore s':>14} {'amplif.':>8} "
         f"{'MDS ops':>8}",

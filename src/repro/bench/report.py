@@ -1,13 +1,11 @@
 """``python -m repro.bench report``: the self-contained perf dashboard.
 
 Renders one HTML file — inline CSS, inline SVG sparklines, zero
-external fetches — from up to four inputs:
+external fetches — from up to two inputs:
 
 - a ``repro-telemetry`` dump (``--telemetry``): histogram quantile
   tables and sampled gauge time-series;
 - a ``repro-trace`` dump (``--trace``): merged stall windows;
-- the committed ``BENCH_*.json`` baselines (``--bench-dir``): the perf
-  trajectory the CI gates track;
 - with neither dump given, a seeded fig5 quick point is run in-process
   (tracer + telemetry installed) so the dashboard always renders from a
   live, reproducible workload.
@@ -18,7 +16,6 @@ from __future__ import annotations
 import argparse
 import html
 import json
-import os
 from typing import Optional
 
 #: series rendered as sparklines before the overflow note kicks in —
@@ -176,65 +173,9 @@ def _stalls_section(trace_payload: Optional[dict]) -> list[str]:
     return out
 
 
-def _bench_section(bench_dir: str) -> list[str]:
-    out = ["<h2>Committed benchmark trajectory (BENCH_*.json)</h2>"]
-    try:
-        names = sorted(
-            n for n in os.listdir(bench_dir)
-            if n.startswith("BENCH_") and n.endswith(".json")
-        )
-    except OSError:
-        names = []
-    if not names:
-        out.append(
-            f'<p class="note">no BENCH_*.json under '
-            f"{html.escape(bench_dir)}</p>"
-        )
-        return out
-    for filename in names:
-        try:
-            with open(os.path.join(bench_dir, filename)) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            out.append(
-                f'<p class="note">{html.escape(filename)}: unreadable</p>'
-            )
-            continue
-        title = doc.get("name", filename)
-        out.append(f"<h3>{html.escape(str(title))}</h3>")
-        metrics = doc.get("metrics")
-        if not isinstance(metrics, dict):
-            # pre-unification shape: flatten one level of numeric leaves
-            metrics = {
-                key: value
-                for key, value in doc.items()
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            }
-        out.append(
-            "<table><tr><th class=name>metric</th><th>value</th>"
-            "<th>tolerance</th></tr>"
-        )
-        tolerances = doc.get("tolerances", {})
-        for key in sorted(metrics):
-            rule = tolerances.get(key)
-            rule_text = (
-                f"{rule.get('rule')} {rule.get('value', '')}"
-                if isinstance(rule, dict)
-                else ""
-            )
-            out.append(
-                f"<tr><td class=name>{html.escape(key)}</td>"
-                f"<td>{_fmt(metrics[key])}</td>"
-                f"<td>{html.escape(rule_text)}</td></tr>"
-            )
-        out.append("</table>")
-    return out
-
-
 def render_report(
     telemetry_payload: Optional[dict],
     trace_payload: Optional[dict],
-    bench_dir: str,
 ) -> str:
     """The full dashboard as one HTML string."""
     meta = (telemetry_payload or {}).get("meta", {})
@@ -253,7 +194,6 @@ def render_report(
     parts.extend(_histogram_section(histograms))
     parts.extend(_series_section(series))
     parts.extend(_stalls_section(trace_payload))
-    parts.extend(_bench_section(bench_dir))
     parts.append("</body></html>")
     return "\n".join(parts)
 
@@ -303,10 +243,6 @@ def main(argv=None) -> int:
         help="repro-trace dump for the stall-window section",
     )
     parser.add_argument(
-        "--bench-dir", default="benchmarks/micro",
-        help="directory holding the committed BENCH_*.json baselines",
-    )
-    parser.add_argument(
         "-o", "--out", default="report.html", help="output HTML path"
     )
     args = parser.parse_args(argv)
@@ -324,7 +260,7 @@ def main(argv=None) -> int:
         if trace_payload is None:
             trace_payload = seeded_trace
 
-    document = render_report(telemetry_payload, trace_payload, args.bench_dir)
+    document = render_report(telemetry_payload, trace_payload)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(document)
     print(

@@ -23,9 +23,11 @@ headline gates fall straight out of the points:
 * *per-shard MDS reduction*: busiest-shard request count, sharded+cached
   versus single-MDS.
 
-Every rank is a light process by default; ``mode="threads"`` replays the
-identical event schedule (the results dict is sim-deterministic, so CI
-runs the campaign twice and byte-diffs the JSON).
+Every rank is a light process.  The results dict is sim-deterministic:
+``tests/integration/test_campaign_goldens.py`` pins the full-shape sweep
+by hash, and ``tests/bench/test_serving.py`` replays a small point on the
+thread backend (``Engine(light_processes=False)``) as the reference
+schedule.
 """
 
 from __future__ import annotations
@@ -75,10 +77,9 @@ class ServingConfig:
     #: cache TTL covering the serve phase (sim seconds)
     md_cache_ttl: float = 120.0
     seed: int = 7
-    mode: str = "light"                    # "light" | "threads"
 
     def quick(self) -> "ServingConfig":
-        """The reduced point CI runs: same shape, small payloads."""
+        """The reduced point: same shape, small payloads."""
         return replace(
             self,
             clients=8,
@@ -223,12 +224,10 @@ def _client_lw(
 
 def run_serving_scenario(cfg: ServingConfig) -> dict:
     """Run one campaign point; returns a sim-deterministic result dict."""
-    if cfg.mode not in ("light", "threads"):
-        raise ValueError(f"unknown mode {cfg.mode!r}")
     if cfg.enumeration not in ("readdir", "manifest"):
         raise ValueError(f"unknown enumeration {cfg.enumeration!r}")
     state = _State()
-    with sim.Engine(light_processes=cfg.mode == "light") as engine:
+    with sim.Engine() as engine:
         cluster = LustreCluster(
             engine,
             viking(
@@ -276,7 +275,6 @@ def run_serving_scenario(cfg: ServingConfig) -> dict:
         "enumeration": cfg.enumeration,
         "mds_shards": cfg.mds_shards,
         "md_cache": cfg.md_cache,
-        "mode": cfg.mode,
         "enumerate": {
             "entries": entries,
             "elapsed_s": round(enum_s, 6),
@@ -322,13 +320,13 @@ def run_serving_scenario(cfg: ServingConfig) -> dict:
     }
 
 
-def run_serving_campaign(quick: bool = False, mode: str = "light") -> dict:
-    """The three-point sweep the committed baseline gates.
+def run_serving_campaign(quick: bool = False) -> dict:
+    """The three-point sweep whose ``gates`` the campaign golden pins.
 
     Points share the workload shape; only enumeration strategy, shard
     count, and the metadata cache vary.
     """
-    base = ServingConfig(mode=mode)
+    base = ServingConfig()
     if quick:
         base = base.quick()
     points = {
@@ -349,7 +347,6 @@ def run_serving_campaign(quick: bool = False, mode: str = "light") -> dict:
     return {
         "workload": "serving-read-fanout",
         "quick": bool(quick),
-        "mode": mode,
         "points": results,
         "gates": {
             "enumeration_speedup": round(
@@ -369,8 +366,8 @@ def run_serving_campaign(quick: bool = False, mode: str = "light") -> dict:
 def format_serving(result: dict) -> str:
     """Render the campaign as an aligned table."""
     lines = [
-        "Serving read fan-out "
-        f"({'quick, ' if result['quick'] else ''}mode={result['mode']})",
+        "Serving read fan-out"
+        f"{' (quick)' if result['quick'] else ''}",
         f"{'point':>22} {'entries/s':>10} {'amplif.':>8} {'GiB/s':>7} "
         f"{'TTFB p99':>9} {'blk hit':>8} {'md hit':>7} {'busiest MDS':>12}",
     ]

@@ -16,7 +16,8 @@ end-to-end through :class:`~repro.core.Checkpointer`:
   retry after recovery lands every byte.
 
 Everything runs in simulated time with seeded randomness, so the full
-campaign payload is bit-reproducible — CI runs it twice and diffs.
+campaign payload is bit-reproducible —
+``tests/integration/test_campaign_goldens.py`` pins it by hash.
 """
 
 from __future__ import annotations

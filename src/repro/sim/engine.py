@@ -437,9 +437,8 @@ class Engine:
         self._local = _TLS
         self._closed = False
         # When False, spawn_light() falls back to a thread-backed process
-        # driving the same generator via run_blocking — the measurement
-        # baseline for the light backend's speedup, and an escape hatch
-        # should an accounting divergence ever need bisecting.
+        # driving the same generator via run_blocking — the reference the
+        # backend-equality tests compare the light schedule against.
         self._light_enabled = bool(light_processes)
 
     # -- time ------------------------------------------------------------

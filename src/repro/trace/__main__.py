@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     p_stall.add_argument("trace")
     p_stall.add_argument(
         "--json", action="store_true",
-        help="emit the report as JSON (for the stability benchmark/CI)",
+        help="emit the report as JSON",
     )
 
     p_exp = sub.add_parser(

@@ -6,9 +6,8 @@ report max (the paper's protocol) alongside mean/min/stddev for honesty.
 
 :func:`quantile` is **the** repo-wide sample-quantile definition —
 sorted-sample linear interpolation (numpy's default / type-7).  The
-microbenchmarks, :class:`SummaryStats`, and the baseline comparator all
-route through it; before it existed each harness carried its own
-nearest-rank variant and "p99" meant three slightly different numbers.
+campaigns, their tests and :class:`SummaryStats` all route through it, so
+"p99" means one number everywhere.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 import dataclasses
 
-import pytest
-
+from repro import sim
 from repro.bench.llm import (
     LlmConfig,
     fleet_config,
@@ -56,22 +55,24 @@ class TestScenario:
         cfg = small_cfg()
         assert run_llm_scenario(cfg) == run_llm_scenario(cfg)
 
-    def test_backends_agree_exactly(self):
+    def test_backends_agree_exactly(self, monkeypatch):
+        # the thread backend is the reference the light schedule matches
         cfg = small_cfg()
         light = run_llm_scenario(cfg)
-        threads = run_llm_scenario(dataclasses.replace(cfg, mode="threads"))
-        light.pop("mode")
-        threads.pop("mode")
-        assert light == threads
+        built = []
+
+        def thread_engine():
+            built.append(sim.engine.Engine(light_processes=False))
+            return built[-1]
+
+        monkeypatch.setattr(sim, "Engine", thread_engine)
+        assert run_llm_scenario(cfg) == light
+        assert len(built) == 1
 
     def test_restore_storm_can_be_disabled(self):
         result = run_llm_scenario(small_cfg(restore_storm=False))
         assert "restore" not in result
         assert result["request_amplification"] >= 1.0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            run_llm_scenario(small_cfg(mode="greenlets"))
 
     def test_full_shards_amplify_writes(self):
         # 16 MiB shards striped 4-wide split into 4 MiB RPCs: the PFS

@@ -1,6 +1,6 @@
 """Shared test configuration: hypothesis budgets.
 
-``pytest --hypothesis-profile=ci`` (CI's fault-smoke job) runs ten times
+``pytest --hypothesis-profile=ci`` (CI's hypothesis-ci job) runs ten times
 the examples of the default profile; tests that derive their budget from
 the loaded profile, like the DB model machine, scale with it.
 """

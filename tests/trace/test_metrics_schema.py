@@ -1,6 +1,6 @@
 """Schema lock for the pfs.* and io.sched.* metrics namespaces.
 
-Dashboards and the CI perf-smoke job key on these flat snapshot names;
+Dashboards and the CI observability job key on these flat snapshot names;
 renaming a counter is an interface change and must show up here.  In
 particular the client's retry/backoff counters are ``rpc_retries`` /
 ``rpc_timeouts`` (matching ClusterReport), not the bare ``retries`` /
@@ -311,7 +311,7 @@ def test_compaction_snapshot_schema():
 
 
 #: Stats every ``telemetry.<histogram>.*`` key group must carry — the
-#: bench report and CI telemetry job key on these names.
+#: bench report and CI observability job key on these names.
 TELEMETRY_STAT_KEYS = {
     "count", "sum", "min", "max", "p50", "p90", "p99", "p999",
 }
