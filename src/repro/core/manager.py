@@ -408,7 +408,9 @@ class LsmioManager:
 
         One sequential sweep over the SSTables (§5.1: "sequential or
         batch read of the variables from the LSM-Tree into memory
-        instead of random reading of each key").
+        instead of random reading of each key").  The list holds every
+        value at once; a caller that only counts or consumes each value
+        in turn streams :meth:`scan` over the same range instead.
         """
         prefix = _as_key(prefix)
         start = ambient_clock()

@@ -30,6 +30,7 @@ from repro.iolibs.adios2 import Adios2Params, register_plugin
 from repro.pfs.client import LustreClient
 from repro.pfs.simenv import SimLustreEnv
 from repro.util.humanize import parse_size
+from repro.util.zeros import zeros
 
 Payload = Union[bytes, int]
 
@@ -102,7 +103,7 @@ class LsmioPluginEngine:
                 nbytes = len(data)
             else:
                 nbytes = int(payload)
-                data = bytes(nbytes)  # data-less benchmarks synthesize zeros
+                data = zeros(nbytes)  # data-less benchmarks synthesize zeros
             sim.sleep(nbytes / self._marshal_bandwidth)
             self.manager.put(self._key(name), data)
         self._deferred.clear()

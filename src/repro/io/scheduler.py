@@ -476,6 +476,7 @@ class IoScheduler:
         )
         if self._active is None and not len(self._policy):
             self._active = request
+            stats.inline_issues += 1
             _trace.observe(_WAIT_KEYS[cls], 0.0)
         else:
             request._gate = sim.Event(

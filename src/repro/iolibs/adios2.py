@@ -259,9 +259,9 @@ class Bp5Reader:
         try:
             with io_priority(Priority.METADATA):
                 md = client.open(f"{path}/md.idx")
-                client.read(md, 0, md.size)
+                client.charge_read(md, 0, md.size)
                 md0 = client.open(f"{path}/md.0")
-                client.read(md0, 0, md0.size)
+                client.charge_read(md0, 0, md0.size)
         except NotFoundError as exc:
             raise NotFoundError(f"{path} has no BP5 metadata") from exc
 
@@ -285,7 +285,7 @@ class Bp5Reader:
         end = offset + nbytes
         if window is None or offset < window[0] or end > window[1]:
             fetch = max(nbytes, self.readahead)
-            self.client.read(subfile, offset, fetch)
+            self.client.charge_read(subfile, offset, fetch)
             self._windows[subfile_path] = (offset, offset + fetch)
         if payload is not None:
             return bytes(payload)

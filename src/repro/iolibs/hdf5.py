@@ -117,7 +117,7 @@ class Hdf5File:
         if state is None:
             raise NotFoundError(f"{path} is not an HDF5 file in this run")
         with io_priority(Priority.METADATA):
-            client.read(file, 0, SUPERBLOCK_SIZE)
+            client.charge_read(file, 0, SUPERBLOCK_SIZE)
         return cls(client, file, writable=writable, state=state)
 
     def create_dataset(self, name: str, chunk_size: int | str) -> None:
@@ -230,7 +230,7 @@ class Hdf5File:
         # eviction/flush policy pushes the node out (HDF5's H5AC default
         # behaviour under sustained insertion).
         if offset not in self._md_cache:
-            self.client.read(self.file, offset, BTREE_NODE_SIZE)
+            self.client.charge_read(self.file, offset, BTREE_NODE_SIZE)
             self._md_cache.add(offset)
         self._md_dirty = getattr(self, "_md_dirty", 0) + 1
         if not self._collective_metadata and self._md_dirty % 4 != 1:
@@ -248,10 +248,12 @@ class Hdf5File:
         # objects, so the metadata cache provides no locality there.
         node = chunk // BTREE_FANOUT
         with io_priority(Priority.METADATA):
-            self.client.read(self.file, SUPERBLOCK_SIZE, BTREE_NODE_SIZE)
-            self.client.read(
+            self.client.charge_read(
+                self.file, SUPERBLOCK_SIZE, BTREE_NODE_SIZE
+            )
+            self.client.charge_read(
                 self.file, self._btree_offset(ds, node + 1), BTREE_NODE_SIZE
             )
-            self.client.read(
+            self.client.charge_read(
                 self.file, self._btree_offset(ds, node), BTREE_NODE_SIZE
             )

@@ -29,6 +29,7 @@ from repro.pfs.configs import viking
 from repro.pfs.lustre import LustreCluster, LustreConfig
 from repro.pfs.simenv import SimLustreEnv
 from repro.trace import runtime as _trace
+from repro.util.zeros import zeros
 
 import repro.core.plugin  # noqa: F401 — registers the "lsmio" engine
 
@@ -372,7 +373,7 @@ class _LsmioDriver(_ApiDriver):
     def _write_payloads(self) -> None:
         config = self.config
         count = config.bytes_per_task // config.transfer_size
-        payload = bytes(config.transfer_size)
+        payload = zeros(config.transfer_size)
         for index in range(count):
             self.manager.put(f"r{self.rank:04d}/x{index:06d}", payload)
         # The final put triggers the flush; the write barrier observes it
@@ -383,9 +384,11 @@ class _LsmioDriver(_ApiDriver):
         config = self.config
         if getattr(self, "_batch_read", False):
             # §5.1 future work: one sequential scan instead of per-key
-            # random gets.
-            items = self.manager.read_prefix(f"r{self.rank:04d}/")
-            assert len(items) == config.bytes_per_task // config.transfer_size
+            # random gets, counted as it streams (no value is kept).
+            prefix = f"r{self.rank:04d}/".encode()
+            scan = self.manager.scan(prefix, prefix + b"\xff" * 8)
+            found = sum(1 for _ in scan)
+            assert found == config.bytes_per_task // config.transfer_size
             return
         # Synchronous point lookups — the paper's read path (§4.5).
         count = config.bytes_per_task // config.transfer_size

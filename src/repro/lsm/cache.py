@@ -65,6 +65,14 @@ class LRUCache:
             self._entries.clear()
             self._usage = 0
 
+    def pop_all(self) -> list:
+        """Empty the cache and return its values, counting no hit or miss."""
+        with self._lock:
+            values = [value for value, _ in self._entries.values()]
+            self._entries.clear()
+            self._usage = 0
+        return values
+
     @property
     def usage(self) -> int:
         with self._lock:

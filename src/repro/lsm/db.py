@@ -1110,12 +1110,8 @@ class DB:
             self._versions.close()
             self._block_cache.clear()
             self._env.unlock_file(self._db_lock_token)
-        # Close cached table readers.
-        for number in list(self._table_cache._entries):  # noqa: SLF001
-            table = self._table_cache.get(number)
-            if table is not None:
-                table.close()
-        self._table_cache.clear()
+        for table in self._table_cache.pop_all():
+            table.close()
         sampler = _trace.SAMPLER
         if sampler is not None:
             for gauge in ("memtable_bytes", "pending_l0", "compaction_debt"):

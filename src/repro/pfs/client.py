@@ -619,20 +619,33 @@ class LustreClient:
         nbytes = min(nbytes, max(0, file.size - offset))
         if nbytes <= 0:
             return b""
-        rpcs = self._coalesce_ranges(file, [(offset, nbytes)])
-        return (
-            yield from self.scheduler.submit_lw(
-                "read", nbytes,
-                lambda: self._read_impl_lw(file, offset, nbytes, rpcs),
-                ost=rpcs[0].ost_index,
-            )
-        )
+        yield from self._charge_read(file, offset, nbytes)
+        return file.load(offset, nbytes)
 
     read = sim.blocking_form(read_lw)
 
-    def _read_impl_lw(
-        self, file: LustreFile, offset: int, nbytes: int, rpcs: list[Rpc]
-    ):
+    def charge_read_lw(self, file: LustreFile, offset: int, nbytes: int):
+        """:meth:`read_lw` without its bytes: the same simulated time,
+        RPCs and counters, but nothing is loaded.  For a read whose
+        payload would be dropped (a readahead fill, a metadata probe).
+        Returns the byte count charged, short at EOF."""
+        nbytes = min(nbytes, max(0, file.size - offset))
+        if nbytes > 0:
+            yield from self._charge_read(file, offset, nbytes)
+        return nbytes
+
+    charge_read = sim.blocking_form(charge_read_lw)
+
+    def _charge_read(self, file: LustreFile, offset: int, nbytes: int):
+        """The cost of reading ``nbytes`` (> 0, within EOF) at ``offset``,
+        as the scheduled generator the caller drives."""
+        rpcs = self._coalesce_ranges(file, [(offset, nbytes)])
+        return self.scheduler.submit_lw(
+            "read", nbytes, lambda: self._read_impl_lw(nbytes, rpcs),
+            ost=rpcs[0].ost_index,
+        )
+
+    def _read_impl_lw(self, nbytes: int, rpcs: list[Rpc]):
         engine = self.cluster.engine
         # OST + OSS stages proceed in parallel across targets…
         procs = [
@@ -653,7 +666,6 @@ class LustreClient:
                 self._nic.release()
         self.stats.read_rpcs += len(rpcs)
         self.stats.bytes_read += nbytes
-        return file.load(offset, nbytes)
 
     def _jitter_delay_lw(self):
         """Fabric/scheduling variance, order-preserving per client.

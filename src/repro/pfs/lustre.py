@@ -24,6 +24,7 @@ from repro.pfs.oss import Oss
 from repro.pfs.ost import Ost
 from repro.trace import runtime as _trace
 from repro.util.humanize import parse_size
+from repro.util.zeros import zeros
 
 
 @dataclass
@@ -121,43 +122,14 @@ class LustreConfig:
                 self.io_compaction_bandwidth = None
 
 
-#: Upper bound on the bytes the shared zero buffers may hold.  Data-less
-#: reads repeat a few lengths (a shard, a chunk, an RPC), so a handful of
-#: buffers serve a whole campaign; a longer read is allocated per call.
-_ZEROS_CAP = 64 << 20
-_ZEROS: dict[int, bytes] = {}
-_zeros_held = 0
-
-
-def _zeros(nbytes: int) -> bytes:
-    """``nbytes`` zero bytes, shared between reads of the same length.
-
-    ``bytes`` is immutable, so one buffer can back every data-less read
-    of a length instead of each read building (and the caller dropping)
-    its own.  A new length that would overflow the cap empties the cache
-    first, so the lengths in current use are the ones held, whatever
-    ran earlier in the process.
-    """
-    global _zeros_held
-    buf = _ZEROS.get(nbytes)
-    if buf is None:
-        buf = bytes(nbytes)
-        if nbytes <= _ZEROS_CAP:
-            if _zeros_held + nbytes > _ZEROS_CAP:
-                _ZEROS.clear()
-                _zeros_held = 0
-            _ZEROS[nbytes] = buf
-            _zeros_held += nbytes
-    return buf
-
-
 class LustreFile:
     """One striped file: layout + logical contents.
 
     Contents are an ordered chunk list: ``_starts[i]`` is the file offset
     of buffer ``_chunks[i]``, the chunks tile ``[0, stored end)`` with no
     gap, and every buffer is the writer's own, held by reference (a hole
-    is a shared :func:`_zeros` buffer).  A data-less file has neither list.
+    is a shared :func:`~repro.util.zeros.zeros` buffer).  A data-less file
+    has neither list.
     """
 
     __slots__ = (
@@ -200,7 +172,7 @@ class LustreFile:
             if offset >= stored:  # at or past EOF: the common append
                 if offset > stored:
                     starts.append(stored)
-                    chunks.append(_zeros(offset - stored))
+                    chunks.append(zeros(offset - stored))
                 for part in parts:
                     if part:
                         starts.append(offset)
@@ -244,7 +216,7 @@ class LustreFile:
             return b""
         chunks = self._chunks
         if not chunks:
-            return _zeros(end - offset)
+            return zeros(end - offset)
         starts = self._starts
         index = bisect_right(starts, offset) - 1
         chunk = chunks[index]
@@ -254,7 +226,7 @@ class LustreFile:
                 return chunk[offset - start:end - start]
             return bytes(memoryview(chunk)[offset - start:end - start])
         if offset - start >= len(chunk):  # past every stored byte
-            return _zeros(end - offset)
+            return zeros(end - offset)
         views = [memoryview(chunk)[offset - start:]]
         position = start + len(chunk)
         count = len(chunks)
@@ -265,7 +237,7 @@ class LustreFile:
             position += len(chunk)
             index += 1
         if position < end:  # a hole past the stored bytes
-            views.append(_zeros(end - position))
+            views.append(zeros(end - position))
         return b"".join(views)
 
     def extend_size(self, offset: int, nbytes: int) -> None:

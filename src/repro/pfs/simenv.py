@@ -65,7 +65,9 @@ class _SimRandomAccessFile(RandomAccessFile):
 
     The engine's point lookups walk SSTable blocks in file order, so the
     client's readahead window turns them into a few large RPCs — the same
-    effect the real kernel readahead has under RocksDB.
+    effect the real kernel readahead has under RocksDB.  A window fill
+    only charges its time (``client.charge_read``); each read then loads
+    just the bytes it asked for, so no window is ever built in memory.
     """
 
     def __init__(self, client: LustreClient, file: LustreFile, readahead: int):
@@ -80,8 +82,8 @@ class _SimRandomAccessFile(RandomAccessFile):
             return b""
         if not (self._window[0] <= offset and end <= self._window[1]):
             fetch = max(nbytes, self._readahead)
-            fetched = self._client.read(self._file, offset, fetch)
-            self._window = (offset, offset + len(fetched))
+            fetched = self._client.charge_read(self._file, offset, fetch)
+            self._window = (offset, offset + fetched)
         return self._file.load(offset, min(nbytes, self._file.size - offset))
 
     def size(self) -> int:

@@ -1,4 +1,5 @@
-"""Shared low-level utilities: varint codec, CRC-32C, size parsing, stats."""
+"""Shared low-level utilities: varint codec, CRC-32C, size parsing, stats,
+shared zero buffers."""
 
 from repro.util.varint import (
     decode_fixed32,
@@ -20,6 +21,7 @@ from repro.util.checkpoint_math import (
 from repro.util.crc import crc32c, crc32c_masked, crc32c_unmask
 from repro.util.humanize import format_bandwidth, format_size, parse_size
 from repro.util.stats import SummaryStats
+from repro.util.zeros import zeros
 
 __all__ = [
     "SummaryStats",
@@ -42,4 +44,5 @@ __all__ = [
     "format_bandwidth",
     "format_size",
     "parse_size",
+    "zeros",
 ]

@@ -227,6 +227,31 @@ class TestScheduler:
             assert snap["stall_time_foreground"] == pytest.approx(0.8)
             assert snap["max_queue_depth"] == 2
 
+    @pytest.mark.parametrize("policy", ["fifo", "strict", "drr"])
+    def test_every_issue_is_inline_or_queued(self, policy):
+        """A grant into an idle slot counts as inline, a parked request
+        as queued, so together they count every issued request."""
+        with sim.Engine() as engine:
+            sched = IoScheduler(engine, policy=policy)
+
+            def submitter(priority, delay):
+                sim.sleep(delay)
+                with io_priority(priority):
+                    for _ in range(3):
+                        sched.submit("write", 100, lambda: sim.sleep(0.25))
+                    sim.sleep(2.0)  # the slot is idle again
+                    sched.submit("write", 100, lambda: sim.sleep(0.25))
+
+            engine.spawn(submitter, Priority.FOREGROUND, 0.0)
+            engine.spawn(submitter, Priority.COMPACTION, 0.1)
+            engine.spawn(submitter, Priority.FLUSH, 0.2)
+            engine.run()
+            stats = sched.stats
+            assert sum(stats.class_issued.values()) == 12
+            assert stats.inline_issues + stats.queued_issues == 12
+            if policy != "fifo":
+                assert stats.inline_issues > 0 and stats.queued_issues > 0
+
     def test_compaction_rate_limit_paces_submissions(self):
         with sim.Engine() as engine:
             # FIFO + limiter: throttling applies even to the inline path.

@@ -1,9 +1,12 @@
 """Tests for the IOR clone: all APIs, protocol, reporting."""
 
+import tracemalloc
+
 import pytest
 
 from repro.ior import IorConfig, run_ior
 from repro.ior.runner import available_apis
+from repro.lsm.batch import WriteBatch
 from repro.pfs.configs import small_test_cluster
 
 
@@ -138,3 +141,52 @@ class TestShapeOnSmallCluster:
         }
         assert results["hdf5"] < results["posix"]
         assert results["hdf5"] < results["lsmio"]
+
+
+class TestSynthesizedPayloads:
+    """Data-less benchmark payloads cost memory once, not once per rank."""
+
+    @pytest.mark.parametrize("api", ["lsmio", "lsmio-plugin"])
+    def test_ranks_hand_the_engine_one_zero_buffer(self, api, monkeypatch):
+        values = []
+        put = WriteBatch.put
+
+        def recording_put(batch, key, value):
+            values.append(value)
+            put(batch, key, value)
+
+        monkeypatch.setattr(WriteBatch, "put", recording_put)
+        run_ior(small_config(api), small_test_cluster())
+        payloads = [value for value in values if len(value) == 64 << 10]
+        assert len(payloads) == 3 * 4
+        assert all(value is payloads[0] for value in payloads)
+        assert payloads[0] == bytes(64 << 10)
+
+    @staticmethod
+    def _traced_peak(num_tasks, batch_read):
+        config = IorConfig(
+            api="lsmio", num_tasks=num_tasks, block_size="8M",
+            transfer_size="1M", segment_count=1, read_back=True,
+            engine_params={"batch_read": True} if batch_read else {},
+        )
+        tracemalloc.start()
+        try:
+            run_ior(config, small_test_cluster())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("batch_read", [False, True])
+    def test_peak_does_not_scale_with_ranks(self, batch_read):
+        """From 4 to 16 ranks of 8 x 1 MiB, the traced peak grows by
+        less than two transfers: no rank allocates its own payload,
+        builds a readahead window or keeps the values it read back.  A
+        streaming scan holds, per rank, the value it hands on and the
+        next key's first entry (the read-through of ``_by_user_key``),
+        so its bound adds those two transfers per added rank."""
+        transfer = 1 << 20
+        grown = self._traced_peak(16, batch_read) - self._traced_peak(
+            4, batch_read
+        )
+        in_flight = (16 - 4) * 2 * transfer if batch_read else 0
+        assert grown < in_flight + 2 * transfer

@@ -113,3 +113,15 @@ def test_usage_never_exceeds_capacity():
     for i in range(100):
         cache.insert(i, i, 7)
         assert cache.usage <= 64
+
+
+def test_pop_all_returns_values_without_counting():
+    cache = LRUCache(100)
+    cache.insert("a", 1, 10)
+    cache.insert("b", 2, 10)
+    cache.get("a")
+    rate = cache.hit_rate
+    assert sorted(cache.pop_all()) == [1, 2]
+    assert len(cache) == 0
+    assert cache.usage == 0
+    assert cache.hit_rate == rate

@@ -746,6 +746,22 @@ class TestClosedBehaviour:
         snap.release()
         assert sorted(env.get_children("db")) == before
 
+    def test_close_leaves_cache_counts_alone(self):
+        """Closing the cached table readers is not a lookup: the table
+        cache's hits and misses stay as the reads left them."""
+        db = mem_db(write_buffer_size=4096)
+        for i in range(200):
+            db.put(b"key%04d" % i, b"v" * 200)
+        db.flush()
+        for i in range(0, 200, 7):
+            assert db.get(b"key%04d" % i) == b"v" * 200
+        cache = db._table_cache  # noqa: SLF001
+        assert len(cache) > 1
+        counts = (cache._hits, cache._misses)  # noqa: SLF001
+        db.close()
+        assert (cache._hits, cache._misses) == counts  # noqa: SLF001
+        assert len(cache) == 0
+
     def test_context_manager(self, tmp_path):
         with DB.open(str(tmp_path / "db"), Options()) as db:
             db.put(b"k", b"v")

@@ -12,6 +12,7 @@ from repro.bb import tier as bb_tier
 from repro.lsm import DB, Options
 from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
 from repro.pfs.configs import small_test_cluster
+from repro.pfs.lustre import LustreFile
 
 
 def run_sim(fn, config=None, **env_kwargs):
@@ -68,6 +69,52 @@ class TestAppendsAreNotCopied:
         # The bytes go to the file by reference: neither the write buffer
         # nor the stored file copies them.
         assert peak < 1 << 20
+
+
+class TestChargeOnlyReadahead:
+    """A window fill charges what a plain read of the window would, and
+    builds none of its bytes."""
+
+    SIZE = (3 << 20) + 1000
+    CONTENT = bytes(range(251)) * (SIZE // 251 + 1)
+
+    def _read(self, offset, via_env):
+        """Write the file, then time one read at ``offset``: through the
+        Env (a window fill plus the 100 bytes asked for) or a plain
+        ``client.read`` of the whole window."""
+
+        def main(env):
+            with env.new_writable_file("f") as fh:
+                fh.append(self.CONTENT[:self.SIZE])
+            stats = env.client.stats
+            before = (sim.now(), stats.read_rpcs, stats.bytes_read)
+            with mock.patch.object(
+                LustreFile, "load", autospec=True, side_effect=LustreFile.load
+            ) as load:
+                if via_env:
+                    with env.new_random_access_file("f") as reader:
+                        data = reader.read(offset, 100)
+                else:
+                    file = env.client.open("f")
+                    data = env.client.read(file, offset, 1 << 20)
+            after = (sim.now(), stats.read_rpcs, stats.bytes_read)
+            loads = [call.args[1:] for call in load.call_args_list]
+            return data, loads, [b - a for a, b in zip(before, after)]
+
+        result, _, _ = run_sim(main, readahead="1M")
+        return result
+
+    def test_window_fill_loads_nothing_and_costs_a_plain_read(self):
+        for offset in (4096, self.SIZE - 300):  # the second ends at EOF
+            data, loads, cost = self._read(offset, via_env=True)
+            assert data == self.CONTENT[offset:offset + 100]
+            assert loads == [(offset, 100)]  # the bytes asked for, only
+            plain, plain_loads, plain_cost = self._read(offset, via_env=False)
+            assert len(plain_loads) == 1 and len(plain) == min(
+                1 << 20, self.SIZE - offset
+            )
+            assert cost == plain_cost
+            assert cost[0] > 0 and cost[1] > 0
 
 
 class TestLsmOnSimulatedLustre:
