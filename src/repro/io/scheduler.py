@@ -139,6 +139,7 @@ class _OstQueues:
 class QueuePolicy:
     """Queue discipline: hold parked requests, pick the next to issue."""
 
+    __slots__ = ()
     name = "?"
     #: inline policies bypass queueing entirely (scheduler fast path)
     inline = False
@@ -159,22 +160,18 @@ class FifoPolicy(QueuePolicy):
     ``inline = True`` means the scheduler never parks a request, so
     concurrent submitters interleave per-RPC at the NIC exactly as the
     unscheduled client did (the bit-identity contract for ``bench_fig5``).
+    It holds no state, so every scheduler shares the one :data:`_FIFO`.
     """
 
+    __slots__ = ()
     name = "fifo"
     inline = True
 
-    def __init__(self) -> None:
-        self._queue: deque = deque()
-
-    def push(self, req: IoRequest) -> None:  # pragma: no cover - inline
-        self._queue.append(req)
-
-    def pop(self) -> Optional[IoRequest]:  # pragma: no cover - inline
-        return self._queue.popleft() if self._queue else None
+    def pop(self) -> Optional[IoRequest]:
+        return None
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return 0
 
 
 class StrictPriorityPolicy(QueuePolicy):
@@ -275,10 +272,12 @@ class DeficitRoundRobinPolicy(QueuePolicy):
 
 POLICIES = ("fifo", "strict", "drr")
 
+_FIFO = FifoPolicy()
+
 
 def make_policy(name: str) -> QueuePolicy:
     if name == "fifo":
-        return FifoPolicy()
+        return _FIFO
     if name == "strict":
         return StrictPriorityPolicy()
     if name == "drr":
@@ -391,8 +390,7 @@ class IoScheduler:
         #: per-class token buckets; only rate-limitable background
         #: classes (DRAIN, COMPACTION) ever get an entry
         self._limiters: Dict[Priority, RateLimiter] = {}
-        self._policy: QueuePolicy = FifoPolicy()
-        self.set_policy(policy)
+        self._policy: QueuePolicy = make_policy(policy)
 
     @property
     def queue_depth(self) -> int:

@@ -386,8 +386,10 @@ class _LsmioDriver(_ApiDriver):
             # §5.1 future work: one sequential scan instead of per-key
             # random gets, counted as it streams (no value is kept).
             prefix = f"r{self.rank:04d}/".encode()
-            scan = self.manager.scan(prefix, prefix + b"\xff" * 8)
-            found = sum(1 for _ in scan)
+            found = 0
+            for entry in self.manager.scan(prefix, prefix + b"\xff" * 8):
+                found += 1
+                del entry  # hold no value while the scan reads the next
             assert found == config.bytes_per_task // config.transfer_size
             return
         # Synchronous point lookups — the paper's read path (§4.5).

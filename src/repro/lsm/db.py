@@ -1020,6 +1020,7 @@ class DB:
             if stop is not None and key > stop:
                 return
             yield key, value
+            value = None  # hold nothing across the next pull
 
     def _level_stream(self, files, lo_ikey: bytes, read_options: ReadOptions):
         """Chain a sorted level's tables, starting at ``lo_ikey``."""

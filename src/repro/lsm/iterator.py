@@ -54,6 +54,9 @@ class MergingIterator:
         while heap:
             _, index, ikey, value, stream = heapq.heappop(heap)
             yield ikey, value
+            # Drop the entry handed on before pulling the next one, so a
+            # scan holds one value per stream across the read, not two.
+            ikey = value = nxt = nvalue = None
             nxt = next(stream, None)
             if nxt is not None:
                 nkey, nvalue = nxt
@@ -141,6 +144,7 @@ def resolve_user_entries(
         resolved = resolve_versions(versions, max_sequence)
         if resolved is not None and resolved[0] is not ValueType.DELETE:
             yield user_key, resolved[1]
+        versions = resolved = None  # hold nothing across the next pull
 
 
 def collapse_internal_entries(

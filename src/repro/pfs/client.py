@@ -91,9 +91,12 @@ class LustreClient:
         self._rpc_size = config.rpc_size
         self._max_rpcs_in_flight = config.max_rpcs_in_flight
         self._jitter = config.client_jitter
-        self._rng = np.random.default_rng(
-            (config.jitter_seed * 1_000_003 + client_id) & 0xFFFFFFFF
-        )
+        # Both RNGs are built at their first draw from these seeds, so a
+        # jitter-free, fault-free client never holds a Generator.
+        self._rng_seed = (
+            config.jitter_seed * 1_000_003 + client_id
+        ) & 0xFFFFFFFF
+        self._rng: Optional[np.random.Generator] = None
         self._outstanding: list = []  # write-behind LightProcess handles
         # Process names for the per-RPC light processes, built once.
         self._wb_name = f"client{client_id}.wb"
@@ -106,9 +109,10 @@ class LustreClient:
         self._backoff_base = config.rpc_backoff_base
         self._backoff_max = config.rpc_backoff_max
         self._backoff_jitter = config.rpc_backoff_jitter
-        self._retry_rng = np.random.default_rng(
-            (config.jitter_seed * 9_176_219 + client_id * 31 + 7) & 0xFFFFFFFF
-        )
+        self._retry_rng_seed = (
+            config.jitter_seed * 9_176_219 + client_id * 31 + 7
+        ) & 0xFFFFFFFF
+        self._retry_rng: Optional[np.random.Generator] = None
         self._write_errors: list[BaseException] = []
         self._read_errors: list[BaseException] = []
         # All data/metadata ops are admitted through the per-client
@@ -582,7 +586,12 @@ class LustreClient:
             self._backoff_max, self._backoff_base * (2 ** (attempts - 1))
         )
         if self._backoff_jitter > 0.0:
-            delay *= 1.0 + self._backoff_jitter * float(self._retry_rng.random())
+            rng = self._retry_rng
+            if rng is None:
+                rng = self._retry_rng = np.random.default_rng(
+                    self._retry_rng_seed
+                )
+            delay *= 1.0 + self._backoff_jitter * float(rng.random())
         self.stats.backoff_time += delay
         _trace.observe("pfs.rpc.backoff", delay)
         with _trace.probe(
@@ -677,9 +686,12 @@ class LustreClient:
         """
         if self._jitter <= 0:
             return
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._rng_seed)
         now = sim.now()
         arrival = max(
-            now + float(self._rng.uniform(0.0, self._jitter)),
+            now + float(rng.uniform(0.0, self._jitter)),
             self._last_arrival,
         )
         self._last_arrival = arrival

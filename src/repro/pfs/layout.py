@@ -27,9 +27,9 @@ class Extent(NamedTuple):
     file_offset: int     # where this extent came from in the file
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StripeLayout:
-    """Immutable layout descriptor for one file."""
+    """Immutable layout descriptor; files with equal striping share one."""
 
     stripe_size: int
     stripe_count: int

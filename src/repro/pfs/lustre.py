@@ -327,6 +327,8 @@ class LustreCluster:
         #: config pays nothing here
         self._md_caches: list = []
         self._files: dict[str, LustreFile] = {}
+        #: one immutable layout per (stripe size, count, start OST)
+        self._layouts: dict[tuple[int, int, int], StripeLayout] = {}
         self._next_file_id = 1
         self._next_start_ost = 0
         #: scratch space for format models that need run-shared logical
@@ -348,20 +350,22 @@ class LustreCluster:
         engine's files must keep real bytes even when bulk benchmark
         files run data-less.
         """
-        layout = StripeLayout(  # parses a "1M"-style stripe_size itself
-            stripe_size=(
+        key = (
+            parse_size(
                 stripe_size
                 if stripe_size is not None
                 else self.config.default_stripe_size
             ),
-            stripe_count=(
-                stripe_count
-                if stripe_count is not None
-                else self.config.default_stripe_count
-            ),
-            start_ost=self._next_start_ost,
-            num_osts=self.config.num_osts,
+            stripe_count
+            if stripe_count is not None
+            else self.config.default_stripe_count,
+            self._next_start_ost,
         )
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = self._layouts[key] = StripeLayout(
+                *key, num_osts=self.config.num_osts
+            )
         # Round-robin object allocation, Lustre's default QOS-free policy:
         # each new file starts on the next OST, spreading files evenly.
         self._next_start_ost = (

@@ -99,8 +99,9 @@ class Mds(FailureDomain):
         #: namespace survives on the MDT
         self.up = True
         #: the slice of the namespace this shard owns: directory path →
-        #: entry-name set, for every directory hashed to this server
-        self._dirs: dict[str, set[str]] = {}
+        #: entry names (an insertion-ordered dict, smaller than a set),
+        #: for every directory hashed to this server
+        self._dirs: dict[str, dict[str, None]] = {}
 
     # -- service -----------------------------------------------------------
 
@@ -198,12 +199,13 @@ class MdsShardGroup:
         while True:
             parent = _parent_dir(path)
             name = path[len(parent) + 1 :] if parent else path
-            entries = self.shard_for_dir(parent)._dirs.setdefault(
-                parent, set()
-            )
+            dirs = self.shard_for_dir(parent)._dirs
+            entries = dirs.get(parent)
+            if entries is None:
+                entries = dirs[parent] = {}
             if name in entries or not name:
                 return  # ancestors are already present
-            entries.add(name)
+            entries[name] = None
             if not parent:
                 return
             path = parent
@@ -214,7 +216,7 @@ class MdsShardGroup:
         name = path[len(parent) + 1 :] if parent else path
         entries = self.shard_for_dir(parent)._dirs.get(parent)
         if entries is not None:
-            entries.discard(name)
+            entries.pop(name, None)
 
     def ns_rename(self, src: str, dst: str) -> None:
         self.ns_unregister(src)

@@ -106,49 +106,39 @@ class Ost(FailureDomain):
             "pfs", "ost_serve", ost=self.index, client=client_id,
             nbytes=nbytes, write=is_write,
         ):
-            yield from self._serve_lw(
-                client_id, object_id, offset, nbytes, is_write
-            )
+            # One frame per RPC in service: the body is inline, not a
+            # nested generator.
+            yield from self._service.acquire_lw()
+            try:
+                start = sim.now()
+                service, sequential = self.disk.service_time(
+                    self._head, object_id, offset, nbytes, is_write
+                )
+                writer = self._lock_holder.get(object_id)
+                if writer is not None and writer != client_id:
+                    # The previous writer's extent lock must be recalled —
+                    # for a conflicting write (ping-pong) or for the first
+                    # read after a foreign write (demotion).
+                    service += self.lock_switch_time
+                    self.stats.lock_switches += 1
+                if is_write:
+                    self._lock_holder[object_id] = client_id
+                elif writer is not None and writer != client_id:
+                    # Demoted to a shared read lock: later readers are free.
+                    self._lock_holder.pop(object_id, None)
+                yield service
+                self._head = (object_id, offset + nbytes)
+                self.stats.requests += 1
+                self.stats.sequential_requests += int(sequential)
+                self.stats.busy_time += sim.now() - start
+                if is_write:
+                    self.stats.bytes_written += nbytes
+                else:
+                    self.stats.bytes_read += nbytes
+            finally:
+                self._service.release()
 
     serve = sim.blocking_form(serve_lw)
-
-    def _serve_lw(
-        self,
-        client_id: int,
-        object_id: int,
-        offset: int,
-        nbytes: int,
-        is_write: bool,
-    ):
-        yield from self._service.acquire_lw()
-        try:
-            start = sim.now()
-            service, sequential = self.disk.service_time(
-                self._head, object_id, offset, nbytes, is_write
-            )
-            writer = self._lock_holder.get(object_id)
-            if writer is not None and writer != client_id:
-                # The previous writer's extent lock must be recalled —
-                # for a conflicting write (ping-pong) or for the first
-                # read after a foreign write (demotion).
-                service += self.lock_switch_time
-                self.stats.lock_switches += 1
-            if is_write:
-                self._lock_holder[object_id] = client_id
-            elif writer is not None and writer != client_id:
-                # Demoted to a shared read lock: later readers are free.
-                self._lock_holder.pop(object_id, None)
-            yield service
-            self._head = (object_id, offset + nbytes)
-            self.stats.requests += 1
-            self.stats.sequential_requests += int(sequential)
-            self.stats.busy_time += sim.now() - start
-            if is_write:
-                self.stats.bytes_written += nbytes
-            else:
-                self.stats.bytes_read += nbytes
-        finally:
-            self._service.release()
 
     def drop_object_state(self, object_id: int) -> None:
         """Forget lock/head state for a deleted object."""

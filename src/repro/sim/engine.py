@@ -127,7 +127,7 @@ class Process:
         self.engine = engine
         self.name = name
         self.daemon = daemon
-        self.done = Event(engine, name=f"{name}.done")
+        self.done = Event(engine, name=name)
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._resume = _baton()  # held until the engine hands it over
@@ -228,7 +228,7 @@ class LightProcess:
     """
 
     __slots__ = (
-        "engine", "name", "daemon", "done", "result", "error",
+        "engine", "name", "daemon", "_done", "result", "error",
         "_gen", "_finished", "_wait_event", "_span", "__weakref__",
     )
 
@@ -236,7 +236,7 @@ class LightProcess:
         self.engine = engine
         self.name = name
         self.daemon = daemon
-        self.done = Event(engine, name=f"{name}.done")
+        self._done: Optional[Event] = None
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._gen = gen
@@ -339,11 +339,12 @@ class LightProcess:
         self.engine._processes.pop(self, None)
         self.result = result
         self.error = error
-        if not self.done.triggered:
+        done = self._done
+        if done is not None and not done.triggered:
             if error is not None:
-                self.done.fail(error)
+                done.fail(error)
             else:
-                self.done.succeed(result)
+                done.succeed(result)
         if self._span is not None:
             self._span.finish()
             self._span = None
@@ -352,6 +353,25 @@ class LightProcess:
         """Close the generator during engine shutdown."""
         self._finished = True
         self._gen.close()
+
+    @property
+    def done(self) -> Event:
+        """The event that fires when the process finishes.
+
+        Built when first asked for: most write-behind RPCs are never
+        waited on.  Asked for after :meth:`_finish` (which clears
+        ``_gen``), it has already fired, so a waiter passes it inline
+        with no heap traffic, exactly as it would pass an eager one.  A
+        killed process keeps ``_gen``, and its event never fires.
+        """
+        done = self._done
+        if done is None:
+            done = self._done = Event(self.engine, name=self.name)
+            if self._gen is None:
+                done.triggered = True
+                done.value = self.result
+                done.exception = self.error
+        return done
 
     @property
     def alive(self) -> bool:

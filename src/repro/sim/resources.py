@@ -34,15 +34,19 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: deque[Event] = deque()
+        #: FCFS waiters, built when the first acquirer parks
+        self._queue: Optional[deque[Event]] = None
 
     def acquire_lw(self):
         """Take a slot, parking until one is free (``yield from`` it)."""
-        if self._in_use < self.capacity and not self._queue:
+        queue = self._queue
+        if self._in_use < self.capacity and not queue:
             self._in_use += 1
             return
-        gate = Event(self.engine, name=f"{self.name}.acquire")
-        self._queue.append(gate)
+        if queue is None:
+            queue = self._queue = deque()
+        gate = Event(self.engine, name=self.name)
+        queue.append(gate)
         yield gate
         # The releaser transferred its slot to us (kept _in_use high).
 
@@ -68,7 +72,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._queue) if self._queue else 0
 
 
 class _ResourceContext:
@@ -95,13 +99,16 @@ class Store:
     def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
         self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        #: undelivered items and parked getters, each built on first use
+        self._items: Optional[deque[Any]] = None
+        self._getters: Optional[deque[Event]] = None
 
     def put(self, item: Any) -> None:
         """Deposit an item; wakes the oldest blocked getter."""
         if self._getters:
             self._getters.popleft().succeed(item)
+        elif self._items is None:
+            self._items = deque((item,))
         else:
             self._items.append(item)
 
@@ -109,7 +116,9 @@ class Store:
         """Take the oldest item, parking while the store is empty."""
         if self._items:
             return self._items.popleft()
-        gate = Event(self.engine, name=f"{self.name}.get")
+        if self._getters is None:
+            self._getters = deque()
+        gate = Event(self.engine, name=self.name)
         self._getters.append(gate)
         return (yield gate)
 
@@ -122,4 +131,4 @@ class Store:
         return None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items) if self._items else 0

@@ -181,12 +181,13 @@ class TestSynthesizedPayloads:
         """From 4 to 16 ranks of 8 x 1 MiB, the traced peak grows by
         less than two transfers: no rank allocates its own payload,
         builds a readahead window or keeps the values it read back.  A
-        streaming scan holds, per rank, the value it hands on and the
-        next key's first entry (the read-through of ``_by_user_key``),
-        so its bound adds those two transfers per added rank."""
+        streaming scan drops each value it hands on before it pulls the
+        next, so per rank it holds only the next key's first entry (the
+        read-through of ``_by_user_key``): its bound adds one transfer
+        per added rank."""
         transfer = 1 << 20
         grown = self._traced_peak(16, batch_read) - self._traced_peak(
             4, batch_read
         )
-        in_flight = (16 - 4) * 2 * transfer if batch_read else 0
+        in_flight = (16 - 4) * transfer if batch_read else 0
         assert grown < in_flight + 2 * transfer

@@ -182,6 +182,39 @@ def test_daemon_light_crash_is_recorded_not_raised():
         assert isinstance(crashed.error, RuntimeError)
 
 
+def test_done_is_built_on_first_use_and_fires_if_asked_late():
+    """Nobody waited on ``quick`` or ``failed`` while they ran, so neither
+    built a done event; asked for afterwards, each has already fired and
+    a waiter passes it inline, as it would pass an eager one."""
+    with sim.Engine() as engine:
+        def ok():
+            yield 0.1
+            return 7
+
+        def bad():
+            yield 0.1
+            raise RuntimeError("late")
+
+        quick = engine.spawn_light(ok)
+        failed = engine.spawn_light(bad, daemon=True)
+        built = []
+
+        def late_waiter():
+            yield 1.0
+            built.append((quick._done, failed._done))  # noqa: SLF001
+            pushes = engine._heap_pushes  # noqa: SLF001
+            value = yield quick.done
+            with pytest.raises(RuntimeError, match="late"):
+                yield failed.done
+            return value, engine._heap_pushes - pushes  # noqa: SLF001
+
+        handle = engine.spawn_light(late_waiter)
+        engine.run()
+    assert built == [(None, None)]
+    assert handle.result == (7, 0)
+    assert quick.done.value == 7 and failed.done.exception is failed.error
+
+
 def test_sleep_and_wait_are_rejected_inside_light_process():
     with sim.Engine() as engine:
         def sleeper():
@@ -255,6 +288,7 @@ def test_close_kills_parked_light_processes():
         engine.run()
     assert cleanup == ["closed"]
     assert not handle.alive
+    assert not handle.done.triggered  # killed, not finished
 
 
 def test_spawn_light_falls_back_to_threads_when_disabled():
